@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Any, Dict, Optional
 
 from repro.api.job import Job
@@ -189,7 +190,7 @@ class RunRecord:
             payload = circuit_result_from_dict(raw_payload, library)
         elif kind == KIND_BOUNDS:
             payload = {
-                "gate_names": tuple(raw_payload["gate_names"]),
+                "gate_names": tuple(intern(n) for n in raw_payload["gate_names"]),
                 "path": path_from_dict(raw_payload["path"], library),
                 "bounds": bounds_from_dict(raw_payload["bounds"]),
             }

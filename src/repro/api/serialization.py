@@ -13,6 +13,7 @@ portable between processes).
 from __future__ import annotations
 
 import math
+from sys import intern
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,19 +65,24 @@ def circuit_to_dict(circuit: Circuit) -> Dict[str, Any]:
 
 
 def circuit_from_dict(data: Mapping[str, Any]) -> Circuit:
-    """Rebuild a :class:`Circuit` from :func:`circuit_to_dict` output."""
+    """Rebuild a :class:`Circuit` from :func:`circuit_to_dict` output.
+
+    Net names are interned: JSON decoding makes a fresh string for every
+    fan-in reference to a net, and a deserialized record's inline
+    circuit would otherwise hold one copy per reference.
+    """
     circuit = Circuit(data["name"])
     for net in data["inputs"]:
-        circuit.add_input(net)
+        circuit.add_input(intern(net))
     for gate in data["gates"]:
         circuit.add_gate(
-            gate["name"],
+            intern(gate["name"]),
             GateKind(gate["kind"]),
-            gate["fanin"],
+            [intern(net) for net in gate["fanin"]],
             cin_ff=gate["cin_ff"],
         )
     for net in data["outputs"]:
-        circuit.add_output(net)
+        circuit.add_output(intern(net))
     return circuit
 
 
@@ -107,7 +113,7 @@ def path_from_dict(data: Mapping[str, Any], library: Library) -> BoundedPath:
         PathStage(
             cell=library.cell(GateKind(stage["kind"])),
             cside_ff=stage["cside_ff"],
-            name=stage["name"],
+            name=intern(stage["name"]),
         )
         for stage in data["stages"]
     )

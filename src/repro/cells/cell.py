@@ -135,8 +135,8 @@ class Cell:
     def cin_min(self, tech: Technology) -> float:
         """Minimum available drive: per-input C_IN at minimum widths (fF).
 
-        Cached per instance (the eq. 4/6 sweeps ask for it every stage
-        of every Gauss-Seidel iteration); the stored technology reference
+        Cached per instance (netlist-level sizing and path stage-table
+        construction ask for it per gate); the stored technology reference
         pins the key's identity, so the slot can never serve a value for
         a recycled technology object.
         """

@@ -1168,12 +1168,14 @@ def _designed_errors() -> tuple:
     from repro.api import JobError
     from repro.explore import CampaignError
     from repro.liberty import LibertyError
+    from repro.netlist.circuit import NetlistError
     from repro.serve import ProtocolError, ServeClientError
 
     return (
         JobError,
         CampaignError,
         LibertyError,
+        NetlistError,
         ProtocolError,
         ServeClientError,
         KeyError,

@@ -80,8 +80,16 @@ def _tree_reduce(
     return base
 
 
+#: Gate functions the ``.bench`` dialect defines.
+_BENCH_FUNCTIONS = frozenset(
+    ("NOT", "BUFF", "BUF", "XOR", "XNOR", "AND", "OR", "NAND", "NOR")
+)
+
+
 def _add_parsed_gate(circuit: Circuit, out: str, fn: str, args: List[str]) -> None:
     fn = fn.upper()
+    if fn not in _BENCH_FUNCTIONS:
+        raise BenchParseError(f"unknown gate function {fn!r} at {out!r}")
     n = len(args)
     if fn == "NOT":
         if n != 1:
@@ -124,8 +132,6 @@ def _add_parsed_gate(circuit: Circuit, out: str, fn: str, args: List[str]) -> No
             circuit.add_gate(out, nor_kind(n), args)
         else:
             _tree_reduce(circuit, out, args, or_kind, invert_last=True)
-        return
-    raise BenchParseError(f"unknown gate function {fn!r} at {out!r}")
 
 
 def parse_bench(text: str, name: str = "bench") -> Circuit:

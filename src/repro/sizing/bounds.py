@@ -22,15 +22,22 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import repeat
+from math import sqrt
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cells.library import Library
 from repro.timing.delay_model import Edge, GateTiming
 from repro.timing.evaluation import (
-    delay_gradient,
-    effective_a_coeffs,
+    _a_coeffs,
+    _clamp_list,
+    _constants,
+    _downstream,
+    _gradient_list,
+    _min_list,
+    _path_delay_list,
     path_area_um,
     path_delay_ps,
 )
@@ -117,12 +124,12 @@ def max_delay_bound(path: BoundedPath, library: Library) -> Tuple[float, np.ndar
 
 def _link_equation_sweep(
     path: BoundedPath,
-    sizes: np.ndarray,
+    sizes: List[float],
     library: Library,
     sensitivity: float = 0.0,
-    area_weights: Optional[np.ndarray] = None,
-    frozen: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    area_weights: Optional[Sequence[float]] = None,
+    frozen: Optional[Sequence[bool]] = None,
+) -> List[float]:
     """One Gauss-Seidel sweep of the eq. 4 / eq. 6 link equations.
 
     With ``sensitivity = a = 0`` this is eq. 4 (the Tmin condition); with
@@ -132,32 +139,59 @@ def _link_equation_sweep(
     Stages flagged in ``frozen`` keep their current size (used by the
     local buffer-insertion mode, which sizes only the inserted buffers).
 
+    ``sizes`` is a validated float list with stage 0 pinned (the solvers
+    validate once at entry); the ``max(., cin_min)`` floor keeps every
+    iterate positive, so the returned list needs no re-validation.
+
     Backends without closed-form bounds (NLDM tables) take the numeric
     twin :func:`_numeric_link_sweep`: the same Gauss-Seidel update, but
     each stage's stationarity condition is solved by a bracketed root
     search on the windowed delay derivative instead of eq. 4.
     """
     if not library.delay_backend.capabilities.closed_form_bounds:
-        return _numeric_link_sweep(path, sizes, library, sensitivity, area_weights, frozen)
-    n = len(path)
-    out = sizes.copy()
-    coeffs = effective_a_coeffs(path, out, library)
-    for i in range(1, n):
-        if frozen is not None and frozen[i]:
-            continue
-        ext_i = path.stages[i].cside_ff + (out[i + 1] if i + 1 < n else path.cterm_ff)
-        w_i = 1.0 if area_weights is None else area_weights[i]
-        denominator = coeffs[i - 1] / out[i - 1] - sensitivity * w_i
-        if denominator <= 0:
-            # Sensitivity more negative than the upstream stage can express:
-            # the gate collapses to its minimum drive.
-            out[i] = path.stages[i].cell.cin_min(library.tech)
-            continue
-        target_sq = coeffs[i] * ext_i / denominator
-        out[i] = max(
-            np.sqrt(target_sq), path.stages[i].cell.cin_min(library.tech)
-        )
+        return _numeric_link_sweep(
+            path, np.array(sizes), library, sensitivity, area_weights, frozen
+        ).tolist()
+    k = _constants(path, library.tech)
+    coeffs = _a_coeffs(path, k, sizes)
+    weights = repeat(1.0) if area_weights is None else area_weights[1:]
+    flags = repeat(False) if frozen is None else frozen[1:]
+    out = [sizes[0]]
+    previous = sizes[0]
+    # Gauss-Seidel: stage i reads the already-updated C_IN(i-1) and the
+    # not-yet-updated C_IN(i+1).
+    for a_prev, a_i, cside, down, cin_min, w_i, is_frozen, current in zip(
+        coeffs, coeffs[1:], k.cside[1:], _downstream(path, sizes)[1:],
+        k.cin_min[1:], weights, flags, sizes[1:],
+    ):
+        if is_frozen:
+            previous = current
+        else:
+            ext_i = cside + down
+            denominator = a_prev / previous - sensitivity * w_i
+            if denominator <= 0:
+                # Sensitivity more negative than the upstream stage can
+                # express: the gate collapses to its minimum drive.
+                previous = cin_min
+            else:
+                root = sqrt(a_i * ext_i / denominator)
+                # max(root, cin_min), spelled out: the builtin call is
+                # the costliest operation of the sweep.
+                previous = cin_min if cin_min > root else root
+        out.append(previous)
     return out
+
+
+def _frozen_flags(
+    path: BoundedPath, frozen: Optional[Sequence[bool]]
+) -> Optional[List[bool]]:
+    """A solver's ``frozen`` mask as a validated list of bools."""
+    if frozen is None:
+        return None
+    flags = [bool(f) for f in frozen]
+    if len(flags) != len(path):
+        raise ValueError(f"expected {len(path)} frozen flags, got {len(flags)}")
+    return flags
 
 
 def _stage_timing(
@@ -307,27 +341,30 @@ def _numeric_link_sweep(
 
 def _projected_gradient_polish(
     path: BoundedPath,
-    sizes: np.ndarray,
+    sizes: List[float],
     library: Library,
     max_steps: int = 60,
     tol_ps: float = 1e-4,
-    frozen: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    frozen: Optional[Sequence[bool]] = None,
+) -> List[float]:
     """Backtracking projected gradient descent on the exact path delay."""
-    current = path.clamp_sizes(sizes, library)
-    t_current = path_delay_ps(path, current, library)
+    k = _constants(path, library.tech)
+    current = _clamp_list(path, k, sizes)
+    t_current = _path_delay_list(path, current, library)
     step = 1.0  # fF^2 / ps scale; adapted by backtracking
     for _ in range(max_steps):
-        grad = delay_gradient(path, current, library)
+        grad = _gradient_list(path, current, library)
         if frozen is not None:
-            grad = np.where(frozen, 0.0, grad)
+            grad = [0.0 if f else g for f, g in zip(frozen, grad)]
         norm = float(np.linalg.norm(grad))
         if norm < 1e-9:
             break
         improved = False
         while step > 1e-6:
-            candidate = path.clamp_sizes(current - step * grad, library)
-            t_candidate = path_delay_ps(path, candidate, library)
+            candidate = _clamp_list(
+                path, k, [c - step * g for c, g in zip(current, grad)]
+            )
+            t_candidate = _path_delay_list(path, candidate, library)
             if t_candidate < t_current - 1e-12:
                 current, t_current = candidate, t_candidate
                 improved = True
@@ -400,38 +437,41 @@ def min_delay_bound(
         max_iterations = min(max_iterations, 60)
         tol_ps = max(tol_ps, 1e-5)
 
+    # Validate once at entry; the loop below iterates on a float list.
+    k = _constants(path, library.tech)
+    frozen_flags = _frozen_flags(path, frozen)
     if start_sizes is not None:
-        sizes = path.clamp_sizes(start_sizes, library)
+        sizes = path.clamp_sizes(start_sizes, library).tolist()
     elif not closed_form:
         # No eq. 4 coefficients to seed from: start the numeric fixed
         # point at the minimum-drive corner.
-        sizes = path.min_sizes(library)
+        sizes = _min_list(path, k)
     else:
         # Backward initial pass: local eq. 4 solutions with C_IN(i-1) = cref.
-        sizes = path.min_sizes(library)
-        coeffs = effective_a_coeffs(path, sizes, library)
+        sizes = _min_list(path, k)
+        coeffs = _a_coeffs(path, k, sizes)
         for i in range(n - 1, 0, -1):
-            ext_i = path.stages[i].cside_ff + (
-                sizes[i + 1] if i + 1 < n else path.cterm_ff
-            )
+            ext_i = k.cside[i] + (sizes[i + 1] if i + 1 < n else path.cterm_ff)
             target_sq = (coeffs[i] / coeffs[i - 1]) * cref_ff * ext_i
-            sizes[i] = max(
-                np.sqrt(target_sq), path.stages[i].cell.cin_min(library.tech)
-            )
-        sizes[0] = path.cin_first_ff
+            sizes[i] = max(sqrt(target_sq), k.cin_min[i])
+        sizes[0] = float(path.cin_first_ff)
 
+    # History totals use numpy's pairwise sum: a sequential Python sum()
+    # over the same floats differs in the last bit.
     history: List[BoundsHistoryPoint] = []
-    delay = path_delay_ps(path, sizes, library)
-    history.append(BoundsHistoryPoint(0, float(sizes.sum() / cref_lib), delay))
+    delay = _path_delay_list(path, sizes, library)
+    history.append(BoundsHistoryPoint(0, float(np.sum(sizes) / cref_lib), delay))
 
     iterations = 0
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        sizes = _link_equation_sweep(path, sizes, library, sensitivity=0.0, frozen=frozen)
-        sizes[0] = path.cin_first_ff
-        new_delay = path_delay_ps(path, sizes, library)
+        sizes = _link_equation_sweep(
+            path, sizes, library, sensitivity=0.0, frozen=frozen_flags
+        )
+        sizes[0] = float(path.cin_first_ff)
+        new_delay = _path_delay_list(path, sizes, library)
         history.append(
-            BoundsHistoryPoint(iteration, float(sizes.sum() / cref_lib), new_delay)
+            BoundsHistoryPoint(iteration, float(np.sum(sizes) / cref_lib), new_delay)
         )
         if abs(new_delay - delay) < tol_ps:
             delay = new_delay
@@ -439,14 +479,15 @@ def min_delay_bound(
         delay = new_delay
 
     if polish and n > 1:
-        sizes = _projected_gradient_polish(path, sizes, library, frozen=frozen)
-        delay = path_delay_ps(path, sizes, library)
+        sizes = _projected_gradient_polish(path, sizes, library, frozen=frozen_flags)
+        delay = _path_delay_list(path, sizes, library)
         history.append(
-            BoundsHistoryPoint(iterations + 1, float(sizes.sum() / cref_lib), delay)
+            BoundsHistoryPoint(iterations + 1, float(np.sum(sizes) / cref_lib), delay)
         )
+    result = np.array(sizes)
     if key is not None and memo is not None:
-        memo[key] = (delay, sizes.copy(), tuple(history), iterations)
-    return delay, sizes, history, iterations
+        memo[key] = (delay, result.copy(), tuple(history), iterations)
+    return delay, result, history, iterations
 
 
 def delay_bounds(

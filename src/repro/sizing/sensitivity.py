@@ -29,9 +29,19 @@ import numpy as np
 
 from repro.cells.library import Library
 from repro.netlist.circuit import Circuit
-from repro.sizing.bounds import _link_equation_sweep, max_delay_bound, min_delay_bound
+from repro.sizing.bounds import (
+    _frozen_flags,
+    _link_equation_sweep,
+    max_delay_bound,
+    min_delay_bound,
+)
 from repro.timing import batch_probe
-from repro.timing.evaluation import delay_gradient, path_area_um, path_delay_ps
+from repro.timing.evaluation import (
+    _path_delay_list,
+    delay_gradient,
+    path_area_um,
+    path_delay_ps,
+)
 from repro.timing.incremental import IncrementalSta
 from repro.timing.path import BoundedPath
 from repro.timing.sta import gate_sizes
@@ -118,30 +128,35 @@ def solve_sensitivity(
         raise ValueError(f"sensitivity a must be <= 0, got {a}")
     if weight_mode not in _WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {_WEIGHT_MODES}")
-    weights = _area_weights(path, library) if weight_mode == "area" else None
-
+    # Validate once at entry; the loop below iterates on a float list.
+    weights = (
+        _area_weights(path, library).tolist() if weight_mode == "area" else None
+    )
+    frozen_flags = _frozen_flags(path, frozen)
     if start_sizes is None:
-        sizes = path.min_sizes(library)
+        sizes = path.min_sizes(library).tolist()
     else:
-        sizes = path.clamp_sizes(start_sizes, library)
-    delay = path_delay_ps(path, sizes, library)
+        sizes = path.clamp_sizes(start_sizes, library).tolist()
+    delay = _path_delay_list(path, sizes, library)
     iterations = 0
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
         sizes = _link_equation_sweep(
-            path, sizes, library, sensitivity=a, area_weights=weights, frozen=frozen
+            path, sizes, library, sensitivity=a, area_weights=weights,
+            frozen=frozen_flags,
         )
-        sizes[0] = path.cin_first_ff
-        new_delay = path_delay_ps(path, sizes, library)
+        sizes[0] = float(path.cin_first_ff)
+        new_delay = _path_delay_list(path, sizes, library)
         if abs(new_delay - delay) < tol_ps:
             delay = new_delay
             break
         delay = new_delay
+    result = np.array(sizes)
     return SensitivitySolution(
         a=a,
-        sizes=sizes,
+        sizes=result,
         delay_ps=delay,
-        area_um=path_area_um(path, sizes, library),
+        area_um=path_area_um(path, result, library),
         iterations=iterations,
     )
 

@@ -16,8 +16,13 @@ vector into the quantities every optimizer consumes:
 
 Because the optimizers evaluate paths tens of thousands of times, the
 per-stage model constants (symmetry factors, thresholds, coupling and
-parasitic coefficients -- all functions of the *structure*, not the
-sizing) are computed once per (path, technology) pair and cached.
+parasitic coefficients, minimum drives -- all functions of the
+*structure*, not the sizing) are computed once per (path, technology)
+pair and cached as tuples of Python floats.  The analytic kernels
+(``_delay``, ``_a_coeffs``, ``_gradient``) run on those tables and on a
+float sizing list; the public functions validate their sizing vector
+once and the ``repro.sizing`` solvers validate at entry and iterate on
+floats, converting to :class:`numpy.ndarray` only on return.
 """
 
 from __future__ import annotations
@@ -61,19 +66,28 @@ class PathTiming:
 class _PathConstants:
     """Structure-only model constants of one (path, technology) pair.
 
-    ``s`` -- per-stage eq. 2 symmetry factor times tau;
-    ``vt`` -- per-stage reduced threshold of the switching input edge;
+    Every per-stage table is a tuple of Python floats, so the analytic
+    kernels below run on plain float arithmetic with no per-stage numpy
+    scalar or cell-method overhead:
+
+    ``s_tau`` -- per-stage eq. 2 symmetry factor times tau;
+    ``half_vt`` -- half the reduced threshold of the switching input edge;
+    ``half_vt_next`` -- the next stage's ``half_vt`` (0.0 after the last
+    stage, whose output slope drives only the terminal load);
     ``m`` -- coupling capacitance per unit of input capacitance;
     ``p`` -- parasitic (junction) capacitance per unit of input cap;
     ``cside`` -- fixed off-path load per stage;
+    ``cin_min`` -- minimum available drive per stage;
     ``edges`` -- input edge per stage.
     """
 
     s_tau: Tuple[float, ...]
-    vt: Tuple[float, ...]
+    half_vt: Tuple[float, ...]
+    half_vt_next: Tuple[float, ...]
     m: Tuple[float, ...]
     p: Tuple[float, ...]
     cside: Tuple[float, ...]
+    cin_min: Tuple[float, ...]
     edges: Tuple[Edge, ...]
 
 
@@ -99,41 +113,168 @@ def _constants(path: BoundedPath, tech: Technology) -> _PathConstants:
 
 def _build_constants(path: BoundedPath, tech: Technology) -> _PathConstants:
     s_tau = []
-    vt = []
+    half_vt = []
     m = []
     p = []
     cside = []
+    cin_min = []
     edges = []
     edge = path.input_edge
     for stage in path.stages:
         cell = stage.cell
         out_edge = output_edge_for(cell, edge)
         s = cell.s_hl(tech) if out_edge is Edge.FALL else cell.s_lh(tech)
-        s_tau.append(s * tech.tau_ps)
-        vt.append(tech.vtn_reduced if edge is Edge.RISE else tech.vtp_reduced)
-        m.append(cell.coupling_cap(1.0, input_rising=edge is Edge.RISE))
-        p.append(cell.p_intrinsic)
-        cside.append(stage.cside_ff)
+        s_tau.append(float(s * tech.tau_ps))
+        vt = tech.vtn_reduced if edge is Edge.RISE else tech.vtp_reduced
+        half_vt.append(float(0.5 * vt))
+        m.append(float(cell.coupling_cap(1.0, input_rising=edge is Edge.RISE)))
+        p.append(float(cell.p_intrinsic))
+        cside.append(float(stage.cside_ff))
+        cin_min.append(float(cell.cin_min(tech)))
         edges.append(edge)
         edge = out_edge
     return _PathConstants(
         s_tau=tuple(s_tau),
-        vt=tuple(vt),
+        half_vt=tuple(half_vt),
+        half_vt_next=tuple(half_vt[1:]) + (0.0,),
         m=tuple(m),
         p=tuple(p),
         cside=tuple(cside),
+        cin_min=tuple(cin_min),
         edges=tuple(edges),
     )
 
 
-def _check_sizes(path: BoundedPath, sizes: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(sizes, dtype=float).copy()
+# -- float kernels ------------------------------------------------------------
+#
+# The kernels below take a sizing vector that is already a validated list
+# of Python floats with stage 0 pinned to ``cin_first_ff``; the public
+# functions validate once and the solvers of ``repro.sizing`` validate at
+# their entry, then iterate on floats.  Each expression keeps the
+# operation order of eqs. 1-3 as written (``half_vt`` and
+# ``half_vt_next`` hoist a product that was always evaluated first), so
+# results are bit-identical to an element-wise numpy evaluation.
+
+
+def _sizes_list(path: BoundedPath, sizes: Sequence[float]) -> List[float]:
+    """Validate ``sizes`` once; a float list with stage 0 pinned."""
+    arr = np.asarray(sizes, dtype=float)
     if arr.shape != (len(path),):
         raise ValueError(f"expected {len(path)} sizes, got shape {arr.shape}")
-    if np.any(arr <= 0):
+    values = arr.tolist()
+    if any(c <= 0 for c in values):
         raise ValueError("all sizes must be positive")
-    arr[0] = path.cin_first_ff
-    return arr
+    values[0] = float(path.cin_first_ff)
+    return values
+
+
+def _check_sizes(path: BoundedPath, sizes: Sequence[float]) -> np.ndarray:
+    return np.array(_sizes_list(path, sizes))
+
+
+def _downstream(path: BoundedPath, c: List[float]) -> List[float]:
+    """External load each stage drives on the path: next C_IN or terminal."""
+    down = c[1:]
+    down.append(path.cterm_ff)
+    return down
+
+
+def _min_list(path: BoundedPath, k: _PathConstants) -> List[float]:
+    """Minimum-drive sizing (stage 0 pinned) as a float list."""
+    values = list(k.cin_min)
+    values[0] = float(path.cin_first_ff)
+    return values
+
+
+def _clamp_list(path: BoundedPath, k: _PathConstants, values: List[float]) -> List[float]:
+    """Project a float sizing list onto the feasible box (stage 0 pinned)."""
+    out = [floor if floor > c else c for c, floor in zip(values, k.cin_min)]
+    out[0] = float(path.cin_first_ff)
+    return out
+
+
+def _delay(path: BoundedPath, k: _PathConstants, c: List[float]) -> float:
+    """Total eq. 1 path delay (ps) of a float sizing list."""
+    total = 0.0
+    tin = path.tin_first_ps
+    for ci, down, p, cside, s_tau, m, half_vt in zip(
+        c, _downstream(path, c), k.p, k.cside, k.s_tau, k.m, k.half_vt
+    ):
+        cl = p * ci + cside + down
+        tout = s_tau * cl / ci
+        cm = m * ci
+        total += half_vt * tin + 0.5 * (1.0 + 2.0 * cm / (cm + cl)) * tout
+        tin = tout
+    return total
+
+
+def _a_coeffs(path: BoundedPath, k: _PathConstants, c: List[float]) -> List[float]:
+    """Effective eq. 4 coefficients ``A_i`` of a float sizing list."""
+    coeffs = []
+    for ci, down, p, cside, s_tau, m, half_vt_next in zip(
+        c, _downstream(path, c), k.p, k.cside, k.s_tau, k.m, k.half_vt_next
+    ):
+        cl = p * ci + cside + down
+        cm = m * ci
+        coeffs.append((0.5 * (1.0 + 2.0 * cm / (cm + cl)) + half_vt_next) * s_tau)
+    return coeffs
+
+
+def _gradient(path: BoundedPath, k: _PathConstants, c: List[float]) -> List[float]:
+    """Closed-form ``dT/dC_IN(i)`` of a float sizing list (component 0 is 0)."""
+    # Forward quantities per stage: total load, output transition,
+    # coupling cap and the weight of tout in T (own K/2 plus the next
+    # stage's slope term).
+    cl = []
+    tout = []
+    cm = []
+    w = []
+    for ci, down, p, cside, s_tau, m, half_vt_next in zip(
+        c, _downstream(path, c), k.p, k.cside, k.s_tau, k.m, k.half_vt_next
+    ):
+        cl_i = p * ci + cside + down
+        cm_i = m * ci
+        cl.append(cl_i)
+        tout.append(s_tau * cl_i / ci)
+        cm.append(cm_i)
+        w.append(0.5 * (1.0 + 2.0 * cm_i / (cm_i + cl_i)) + half_vt_next)
+
+    p = k.p
+    m = k.m
+    s_tau = k.s_tau
+    grad = [0.0]
+    for j in range(1, len(c)):
+        cj = c[j]
+        denominator = (cm[j] + cl[j]) ** 2
+        # d tout_j / d c_j: only the external part of the load divides c.
+        ext_j = cl[j] - p[j] * cj
+        dtout_j = -s_tau[j] * ext_j / cj**2
+        # d K_j / d c_j through cm (m_j) and cl (p_j).
+        dk_j = (2.0 * cl[j] * m[j] - 2.0 * cm[j] * p[j]) / denominator
+        value = w[j] * dtout_j + 0.5 * tout[j] * dk_j
+
+        # Upstream stage j-1 sees c_j in its load.
+        i = j - 1
+        dtout_i = s_tau[i] / c[i]
+        dk_i = -2.0 * cm[i] / (cm[i] + cl[i]) ** 2
+        value += w[i] * dtout_i + 0.5 * tout[i] * dk_i
+        grad.append(value)
+    return grad
+
+
+def _path_delay_list(path: BoundedPath, c: List[float], library: Library) -> float:
+    """:func:`path_delay_ps` of a validated float list, any backend."""
+    backend = library.delay_backend
+    if not isinstance(backend, AnalyticBackend):
+        return _backend_path_delay(path, np.array(c), library, backend)
+    return _delay(path, _constants(path, library.tech), c)
+
+
+def _gradient_list(path: BoundedPath, c: List[float], library: Library) -> List[float]:
+    """:func:`delay_gradient` of a validated float list, any backend."""
+    if not isinstance(library.delay_backend, AnalyticBackend):
+        return delay_gradient_numeric(path, np.array(c), library).tolist()
+    return _gradient(path, _constants(path, library.tech), c)
 
 
 def stage_external_loads(path: BoundedPath, sizes: np.ndarray) -> np.ndarray:
@@ -154,28 +295,26 @@ def evaluate_path(path: BoundedPath, sizes: Sequence[float], library: Library) -
 
     Non-analytic backends take the generic chain (one scalar
     :meth:`~repro.timing.backend.DelayBackend.gate_timing` call per
-    stage); the analytic fast path below is byte-for-byte the
-    pre-backend code, so default-library results are bit-identical.
+    stage); the analytic branch runs on the cached float stage tables.
     """
-    arr = _check_sizes(path, sizes)
+    c = _sizes_list(path, sizes)
     backend = library.delay_backend
     if not isinstance(backend, AnalyticBackend):
-        return _backend_evaluate_path(path, arr, library, backend)
+        return _backend_evaluate_path(path, np.array(c), library, backend)
     k = _constants(path, library.tech)
-    n = len(path)
 
     delays = []
     touts = []
     loads_total = []
     tin = path.tin_first_ps
-    for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl = k.p[i] * c + k.cside[i] + downstream
-        tout = k.s_tau[i] * cl / c
-        cm = k.m[i] * c
+    for ci, down, p, cside, s_tau, m, half_vt in zip(
+        c, _downstream(path, c), k.p, k.cside, k.s_tau, k.m, k.half_vt
+    ):
+        cl = p * ci + cside + down
+        tout = s_tau * cl / ci
+        cm = m * ci
         coupling = 1.0 + 2.0 * cm / (cm + cl)
-        delays.append(0.5 * k.vt[i] * tin + 0.5 * coupling * tout)
+        delays.append(half_vt * tin + 0.5 * coupling * tout)
         touts.append(tout)
         loads_total.append(cl)
         tin = tout
@@ -189,24 +328,8 @@ def evaluate_path(path: BoundedPath, sizes: Sequence[float], library: Library) -
 
 
 def path_delay_ps(path: BoundedPath, sizes: Sequence[float], library: Library) -> float:
-    """Total path delay (ps) -- the optimizers' hot loop."""
-    arr = _check_sizes(path, sizes)
-    backend = library.delay_backend
-    if not isinstance(backend, AnalyticBackend):
-        return _backend_path_delay(path, arr, library, backend)
-    k = _constants(path, library.tech)
-    n = len(path)
-    total = 0.0
-    tin = path.tin_first_ps
-    for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl = k.p[i] * c + k.cside[i] + downstream
-        tout = k.s_tau[i] * cl / c
-        cm = k.m[i] * c
-        total += 0.5 * k.vt[i] * tin + 0.5 * (1.0 + 2.0 * cm / (cm + cl)) * tout
-        tin = tout
-    return total
+    """Total path delay (ps) of a sizing vector, validated on entry."""
+    return _path_delay_list(path, _sizes_list(path, sizes), library)
 
 
 def _backend_evaluate_path(
@@ -309,20 +432,8 @@ def effective_a_coeffs(
     ``library.delay_backend.capabilities.closed_form_bounds`` and fall
     back to the numeric link sweep of :mod:`repro.sizing.bounds`.
     """
-    arr = np.asarray(sizes, dtype=float)
-    k = _constants(path, library.tech)
-    n = len(path)
-    coeffs = np.empty(n)
-    for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl = k.p[i] * c + k.cside[i] + downstream
-        cm = k.m[i] * c
-        weight = 0.5 * (1.0 + 2.0 * cm / (cm + cl))
-        if i + 1 < n:
-            weight += 0.5 * k.vt[i + 1]
-        coeffs[i] = weight * k.s_tau[i]
-    return coeffs
+    c = np.asarray(sizes, dtype=float).tolist()
+    return np.array(_a_coeffs(path, _constants(path, library.tech), c))
 
 
 def delay_gradient(
@@ -341,47 +452,7 @@ def delay_gradient(
     dispatch to the central-difference fallback (which itself routes
     every evaluation through the backend's scalar kernel).
     """
-    arr = _check_sizes(path, sizes)
-    if not isinstance(library.delay_backend, AnalyticBackend):
-        return delay_gradient_numeric(path, arr, library)
-    k = _constants(path, library.tech)
-    n = len(path)
-
-    # Forward quantities.
-    cl = np.empty(n)
-    tout = np.empty(n)
-    cm = np.empty(n)
-    kf = np.empty(n)  # coupling factor K_i
-    for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl[i] = k.p[i] * c + k.cside[i] + downstream
-        tout[i] = k.s_tau[i] * cl[i] / c
-        cm[i] = k.m[i] * c
-        kf[i] = 1.0 + 2.0 * cm[i] / (cm[i] + cl[i])
-
-    # Weight of tout_i in T: its own K_i/2 plus the next stage's slope.
-    w = 0.5 * kf.copy()
-    w[: n - 1] += 0.5 * np.asarray(k.vt[1:])
-
-    grad = np.zeros(n)
-    for j in range(1, n):
-        c = arr[j]
-        denominator = (cm[j] + cl[j]) ** 2
-        # d tout_j / d c_j: only the external part of the load divides c.
-        ext_j = cl[j] - k.p[j] * c
-        dtout_j = -k.s_tau[j] * ext_j / c**2
-        # d K_j / d c_j through cm (m_j) and cl (p_j).
-        dk_j = (2.0 * cl[j] * k.m[j] - 2.0 * cm[j] * k.p[j]) / denominator
-        value = w[j] * dtout_j + 0.5 * tout[j] * dk_j
-
-        # Upstream stage j-1 sees c_j in its load.
-        i = j - 1
-        dtout_i = k.s_tau[i] / arr[i]
-        dk_i = -2.0 * cm[i] / (cm[i] + cl[i]) ** 2
-        value += w[i] * dtout_i + 0.5 * tout[i] * dk_i
-        grad[j] = value
-    return grad
+    return np.array(_gradient_list(path, _sizes_list(path, sizes), library))
 
 
 def delay_gradient_numeric(

@@ -131,9 +131,9 @@ class BoundedPath:
 
     def min_sizes(self, library: Library) -> np.ndarray:
         """Minimum-drive sizing vector (stage 0 pinned to ``cin_first_ff``)."""
-        sizes = np.array([stage.cell.cin_min(library.tech) for stage in self.stages])
-        sizes[0] = self.cin_first_ff
-        return sizes
+        from repro.timing.evaluation import _constants, _min_list
+
+        return np.array(_min_list(self, _constants(self, library.tech)))
 
     def clamp_sizes(self, sizes: Sequence[float], library: Library) -> np.ndarray:
         """Project a sizing vector onto the feasible box.
@@ -141,15 +141,15 @@ class BoundedPath:
         Pins the first stage, and clamps every interior stage to its
         minimum available drive.
         """
-        arr = np.asarray(sizes, dtype=float).copy()
+        from repro.timing.evaluation import _clamp_list, _constants
+
+        arr = np.asarray(sizes, dtype=float)
         if arr.shape != (len(self.stages),):
             raise ValueError(
                 f"expected {len(self.stages)} sizes, got shape {arr.shape}"
             )
-        arr[0] = self.cin_first_ff
-        for i, stage in enumerate(self.stages[1:], start=1):
-            arr[i] = max(arr[i], stage.cell.cin_min(library.tech))
-        return arr
+        k = _constants(self, library.tech)
+        return np.array(_clamp_list(self, k, arr.tolist()))
 
     def with_stage_inserted(self, index: int, stage: PathStage) -> "BoundedPath":
         """A new path with ``stage`` inserted before position ``index``."""

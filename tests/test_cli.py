@@ -59,6 +59,19 @@ class TestCommands:
         assert "c0000" in body["error"]["message"]
         assert captured.err.startswith("error:")
 
+    def test_bad_bench_file_is_a_designed_error(self, capsys, tmp_path):
+        (tmp_path / "c17.bench").write_text("INPUT(a)\nOUTPUT(y)\ny = FOO(a)\n")
+        argv = ["bounds", "c17", "--bench-dir", str(tmp_path), "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        body = json.loads(captured.out)
+        assert body["error"]["type"] == "BenchParseError"
+        message = body["error"]["message"]
+        assert "unknown gate function" in message
+        assert "FOO" in message
+        assert "expects" not in message  # not misreported as an arity error
+        assert captured.err.startswith("error:")
+
     def test_unexpected_errors_exit_1(self, capsys, monkeypatch):
         import repro.cli as cli
 
