@@ -6,13 +6,16 @@ cones.  This bench measures the full-vs-incremental speedup over the
 paper's circuit set, asserts *exact* agreement of the annotations (the
 engine's contract is bit-identity with the oracle), and provides the
 tier-1 kernels the CI perf gate tracks against ``BENCH_BASELINE.json``
-(see ``benchmarks/compare_bench.py``).
+(see ``benchmarks/compare_bench.py``) -- the STA engine kernels plus two
+end-to-end ones: K-path extraction and a whole circuit-scope optimize.
 """
 
 import time
 
+from repro.api import Job, Session
 from repro.iscas.loader import load_benchmark
 from repro.protocol.report import format_table
+from repro.timing.critical_paths import k_critical_paths
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import analyze, trace_critical_gates
 
@@ -143,3 +146,32 @@ def test_kernel_structure_refresh_c7552(benchmark, lib):
 
     delay = benchmark(trial)
     assert delay > 0
+
+
+# -- end-to-end layer kernels -----------------------------------------
+
+
+def test_kernel_kpaths_c7552(benchmark, lib):
+    """K=4 path extraction on the tables of an existing STA."""
+    circuit = load_benchmark("c7552")
+    sta = analyze(circuit, lib)
+    paths = benchmark(k_critical_paths, circuit, lib, k=4, sta=sta)
+    assert len(paths) == 4
+    assert paths == k_critical_paths(circuit, lib, k=4)
+
+
+def test_kernel_optimize_circuit_c7552(benchmark, lib, limits):
+    """A whole circuit-scope ``Session.optimize`` (Flimit precomputed).
+
+    ``limits`` has characterised the shared library's Flimit table and
+    the netlist is generated once, so a round times what a user waits
+    for after start-up: STA, K-path extraction, the eq. 4/6 solvers and
+    the incremental re-timing of every pass.
+    """
+    job = Job(circuit=load_benchmark("c7552"), tc_ratio=1.5, scope="circuit")
+
+    def optimize():
+        return Session(library=lib).optimize(job)
+
+    record = benchmark.pedantic(optimize, rounds=3, iterations=1)
+    assert record.payload.passes >= 1

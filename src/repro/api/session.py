@@ -335,7 +335,8 @@ class Session:
             if engine is None:
                 # The engine owns a private copy: later caller-side
                 # mutations cannot desynchronise its cached annotation.
-                engine = IncrementalSta(circuit.copy(), self._library)
+                with self.tracer.span("sta.build", circuit=circuit.name):
+                    engine = IncrementalSta(circuit.copy(), self._library)
                 with self._lock:
                     self._engines[skey] = engine
                 result = engine.result()
@@ -372,9 +373,9 @@ class Session:
                 self.stats.path_hits += 1
                 return cached
             self.stats.path_misses += 1
-            extracted = critical_path(
-                circuit, self._library, sta=self.sta(circuit)
-            )
+            sta = self.sta(circuit)
+            with self.tracer.span("paths.extract", k=1):
+                extracted = critical_path(circuit, self._library, sta=sta)
             with self._lock:
                 self._path_cache[key] = extracted
         return extracted
@@ -652,6 +653,7 @@ class Session:
                     allow_restructuring=job.allow_restructuring,
                     warm=warm,
                     tracer=self.tracer if self.tracer.enabled else None,
+                    sta=self.sta(circuit),
                 )
                 kind = KIND_OPTIMIZE_CIRCUIT
                 extra = {

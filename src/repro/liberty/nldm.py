@@ -4,7 +4,8 @@
 :class:`~repro.timing.backend.DelayBackend` surface from the stacked
 tables of :class:`~repro.liberty.tables.NldmTables`:
 
-* the **scalar** kernel bilinearly interpolates the cell's
+* the **scalar** surface binds a gate's :class:`TableArc` pair (table
+  index, effective load, output edge) and bilinearly interpolates the cell's
   ``cell_rise``/``cell_fall`` (delay) and ``rise_transition``/
   ``fall_transition`` (output slew) tables at ``(input slew, effective
   load)``.  The load axis is electrical effort: a gate sized to ``cin``
@@ -36,7 +37,7 @@ analytic quantity is itself linear in the table variables).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 import numpy as np
 
@@ -49,15 +50,45 @@ from repro.timing.backend import (
     BackendCapabilities,
     BatchDelayModel,
     DelayBackend,
+    GateArcs,
     ProbeDelayModel,
 )
-from repro.timing.delay_model import Edge, GateTiming, output_edge_for
+from repro.timing.delay_model import Edge, output_edge_for
 from repro.timing.sta import gate_external_load
 
 if TYPE_CHECKING:  # pragma: no cover - type names only
     from repro.mc.compile import CompiledCircuit
     from repro.mc.corners import CornerSamples
     from repro.timing.batch_probe import BatchProbeEngine
+
+
+class TableArc(NamedTuple):
+    """One NLDM gate arc bound at a fixed ``(cell, size, load)``.
+
+    Binding fixes the cell's table index, the effective table load
+    ``load * cin_ref / cin`` and the output edge; an NLDM output slew
+    depends on the input slew, so :meth:`at` still interpolates both
+    tables per input transition.
+    """
+
+    output_edge: Edge
+    table_index: int
+    l_eff: float
+    tables: NldmTables
+
+    def at(self, tin_ps: float) -> Tuple[float, float]:
+        """Bilinear lookup of ``(delay_ps, tout_ps)`` at one input slew."""
+        if tin_ps < 0:
+            raise ValueError(f"tin_ps must be non-negative, got {tin_ps}")
+        t = self.tables
+        idx = self.table_index
+        if self.output_edge is Edge.RISE:
+            delay_table, tout_table = t.cell_rise[idx], t.rise_transition[idx]
+        else:
+            delay_table, tout_table = t.cell_fall[idx], t.fall_transition[idx]
+        delay = interp_table(delay_table, t.slew_axis, t.load_axis, tin_ps, self.l_eff)
+        tout = interp_table(tout_table, t.slew_axis, t.load_axis, tin_ps, self.l_eff)
+        return float(delay), float(tout)
 
 
 class NldmBackend(DelayBackend):
@@ -85,46 +116,24 @@ class NldmBackend(DelayBackend):
             )
         return idx
 
-    def gate_timing(
-        self,
-        cell: Cell,
-        tech: Technology,
-        cin_ff: float,
-        cload_ext_ff: float,
-        tin_ps: float,
-        input_edge: Edge,
-    ) -> GateTiming:
-        """Bilinear table lookup of one gate arc.
+    def bind_arcs(
+        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
+    ) -> GateArcs:
+        """Bind one gate's table arcs: cell index, effective load, output edges.
 
-        Validation mirrors the analytic scalar kernel so both backends
-        reject the same ill-posed inputs with the same exception types.
+        Validation mirrors the analytic kernel so both backends reject
+        the same ill-posed inputs with the same exception types.
         """
         if cin_ff <= 0:
             raise ValueError(f"cin_ff must be positive, got {cin_ff}")
         if cload_ext_ff < 0:
             raise ValueError("cload_ext_ff must be non-negative")
-        if tin_ps < 0:
-            raise ValueError(f"tin_ps must be non-negative, got {tin_ps}")
         t = self.tables
         idx = self._cell_index(cell.kind)
-        out_edge = output_edge_for(cell, input_edge)
         l_eff = cload_ext_ff * (t.cin_ref[idx] / cin_ff)
-        if out_edge is Edge.RISE:
-            delay = interp_table(
-                t.cell_rise[idx], t.slew_axis, t.load_axis, tin_ps, l_eff
-            )
-            tout = interp_table(
-                t.rise_transition[idx], t.slew_axis, t.load_axis, tin_ps, l_eff
-            )
-        else:
-            delay = interp_table(
-                t.cell_fall[idx], t.slew_axis, t.load_axis, tin_ps, l_eff
-            )
-            tout = interp_table(
-                t.fall_transition[idx], t.slew_axis, t.load_axis, tin_ps, l_eff
-            )
-        return GateTiming(
-            delay_ps=float(delay), tout_ps=float(tout), output_edge=out_edge
+        return (
+            TableArc(output_edge_for(cell, Edge.RISE), idx, l_eff, t),
+            TableArc(output_edge_for(cell, Edge.FALL), idx, l_eff, t),
         )
 
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:

@@ -117,13 +117,19 @@ class Circuit:
                 fanout.setdefault(source, []).append(gate.name)
         return fanout
 
-    def topological_order(self) -> List[str]:
-        """Gate names in topological order; raises on cycles."""
+    def topological_order(
+        self, fanout: Optional[Mapping[str, Sequence[str]]] = None
+    ) -> List[str]:
+        """Gate names in topological order; raises on cycles.
+
+        ``fanout`` reuses a :meth:`fanout_map` the caller already holds.
+        """
         indegree: Dict[str, int] = {}
         for gate in self.gates.values():
             indegree[gate.name] = sum(1 for f in gate.fanin if f in self.gates)
         ready = [name for name, deg in sorted(indegree.items()) if deg == 0]
-        fanout = self.fanout_map()
+        if fanout is None:
+            fanout = self.fanout_map()
         order: List[str] = []
         while ready:
             name = ready.pop()
@@ -136,8 +142,14 @@ class Circuit:
             raise NetlistError(f"circuit {self.name!r} contains a combinational cycle")
         return order
 
-    def validate(self) -> None:
-        """Check structural sanity: no dangling nets, acyclic, outputs exist."""
+    def validate(
+        self, fanout: Optional[Mapping[str, Sequence[str]]] = None
+    ) -> List[str]:
+        """Check structural sanity: no dangling nets, acyclic, outputs exist.
+
+        Returns the topological order that proved acyclicity (computed
+        from ``fanout`` when the caller already holds the fan-out map).
+        """
         known: Set[str] = set(self.inputs) | set(self.gates)
         for gate in self.gates.values():
             for source in gate.fanin:
@@ -150,7 +162,7 @@ class Circuit:
                 raise NetlistError(f"primary output {out!r} is undefined")
         if not self.outputs:
             raise NetlistError("circuit has no primary outputs")
-        self.topological_order()
+        return self.topological_order(fanout)
 
     def depth(self) -> int:
         """Maximum logic depth in gate counts."""

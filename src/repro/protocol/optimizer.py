@@ -50,6 +50,7 @@ from repro.sizing.sensitivity import distribute_constraint
 from repro.timing.critical_paths import apply_path_sizes, k_critical_paths
 from repro.timing.incremental import IncrementalSta
 from repro.timing.path import BoundedPath
+from repro.timing.sta import StaResult
 
 
 @dataclass(frozen=True)
@@ -382,6 +383,7 @@ def optimize_circuit(
     warm: Optional[WarmStart] = None,
     rescue_buffers: bool = False,
     tracer: Optional[Tracer] = None,
+    sta: Optional[StaResult] = None,
 ) -> CircuitOptimizationResult:
     """Apply the path protocol over a circuit's critical paths.
 
@@ -408,6 +410,11 @@ def optimize_circuit(
     :class:`~repro.obs.telemetry.OptimizerTelemetry` is collected
     unconditionally (its cost is a few integers per pass) and attached
     to the returned result.  Neither changes the optimization outcome.
+
+    ``sta`` (optional) is an annotation of ``circuit`` as passed, timed
+    under the default boundary (e.g. :meth:`repro.api.Session.sta`);
+    the run's engine starts from it instead of a second full build.  A
+    warm engine takes precedence (its retarget is the cheaper re-sync).
     """
     if limits is None:
         limits = default_flimits(library)
@@ -425,40 +432,49 @@ def optimize_circuit(
     results: List[ProtocolResult] = []
     passes = 0
 
+    trc = tracer if tracer is not None and tracer.enabled else None
+    span_tracer = trc if trc is not None else NULL_TRACER
+
     # One incremental engine tracks ``working`` for the whole run: each
     # pass re-times only the fan-out cones of the gates it touched
     # instead of re-running full STA (bit-identical by construction).
     # A warm engine from a neighbouring sweep point is retargeted -- its
-    # re-sync pays the neighbour-to-start diff instead of a full build.
-    if warm is not None and warm.engine is not None:
-        engine = warm.engine
-        engine.retarget(working)
-    else:
-        engine = IncrementalSta(working, library)
+    # re-sync pays the neighbour-to-start diff instead of a full build --
+    # and a caller's annotation of the same state is adopted as is.
+    with span_tracer.span("sta.build", circuit=working.name) as build_span:
+        if warm is not None and warm.engine is not None:
+            engine = warm.engine
+            engine.retarget(working)
+            build_span.set(mode="retarget")
+        else:
+            engine = IncrementalSta(working, library, start=sta)
+            build_span.set(mode="build" if sta is None else "adopt")
     if warm is not None:
         warm.engine = engine
     # The run owns the engine's tracer attachment: enabled tracers see
     # ``sta.update`` events, anything else resets a possibly stale
     # attachment left by an earlier traced run on a warm engine.
-    trc = tracer if tracer is not None and tracer.enabled else None
     engine.tracer = trc
-    span_tracer = trc if trc is not None else NULL_TRACER
 
     def extract(first_pass: bool) -> List:
         # Only the *first* pass starts from a state shared across sweep
         # points (the pristine benchmark); later passes carry Tc-specific
         # sizing, so memoizing them would grow the warm state with
         # full-circuit keys that can essentially never hit again.
-        if warm is None or not first_pass:
-            return k_critical_paths(working, library, k=k_paths, sta=engine.result())
-        key = (working.state_key(), k_paths)
-        cached = warm.extraction_memo.get(key)
-        if cached is None:
-            cached = k_critical_paths(
-                working, library, k=k_paths, sta=engine.result()
-            )
-            warm.extraction_memo[key] = cached
-        return cached
+        with span_tracer.span("paths.extract", k=k_paths) as extract_span:
+            if warm is None or not first_pass:
+                return k_critical_paths(
+                    working, library, k=k_paths, sta=engine.result()
+                )
+            key = (working.state_key(), k_paths)
+            cached = warm.extraction_memo.get(key)
+            extract_span.set(memo_hit=cached is not None)
+            if cached is None:
+                cached = k_critical_paths(
+                    working, library, k=k_paths, sta=engine.result()
+                )
+                warm.extraction_memo[key] = cached
+            return cached
 
     # The best state seen so far covers *structure and sizes*: a pass
     # after the snapshot may insert buffers or apply a De Morgan rewrite,

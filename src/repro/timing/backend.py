@@ -9,9 +9,12 @@ hard-wired the paper's analytic eq. 1-3 model.  A
 :class:`DelayBackend` lifts that model behind an interface with three
 surfaces:
 
-* **scalar** -- :meth:`DelayBackend.gate_timing`, the single-arc kernel
-  every dict-walking engine calls (STA propagation, path extraction,
-  generic path evaluation);
+* **scalar** -- :meth:`DelayBackend.bind_arcs`, which binds one gate's
+  two input-edge arcs at a fixed ``(cell, size, load)``.  The
+  dict-walking engines (STA propagation, incremental STA, K-path
+  extraction) bind each gate once per size/load change and evaluate
+  its arcs per input transition; :meth:`DelayBackend.gate_timing`, the
+  single-arc kernel of generic path evaluation, is a thin caller of it;
 * **batch** -- :meth:`DelayBackend.compile_model`, a per-compilation
   :class:`BatchDelayModel` that folds per-gate constants into
   :class:`~repro.mc.compile.CompiledCircuit` arrays and propagates whole
@@ -35,7 +38,7 @@ order on its scalar, batch and probe surfaces.  *Across* backends no
 bit-level relationship is promised -- an NLDM table characterised from
 the analytic model agrees only to interpolation accuracy.  The
 :class:`AnalyticBackend` delegates straight to
-:func:`~repro.timing.delay_model.gate_delay` and to the pre-existing
+:func:`~repro.timing.delay_model.bind_gate_arcs` and to the pre-existing
 batch kernels, so refactoring the consumers through this seam changed
 no float anywhere (pinned by the equivalence ladder in
 ``tests/test_mc.py`` / ``tests/test_batch_probe.py`` /
@@ -46,18 +49,40 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Protocol, Tuple
 
 import numpy as np
 
 from repro.cells.cell import Cell
 from repro.process.technology import Technology
-from repro.timing.delay_model import Edge, GateTiming, gate_delay
+from repro.timing.delay_model import Edge, GateTiming, bind_gate_arcs
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type names
     from repro.mc.compile import CompiledCircuit
     from repro.mc.corners import CornerSamples
     from repro.timing.batch_probe import BatchProbeEngine
+
+
+class BoundArc(Protocol):
+    """One gate arc bound at a fixed ``(cell, size, load)``.
+
+    ``output_edge`` is the polarity the arc drives; :meth:`at` times the
+    arc for one input transition.  Bound arcs are immutable values: an
+    engine replaces a gate's arcs when its size or load changes, never
+    edits them.
+    """
+
+    @property
+    def output_edge(self) -> Edge:
+        """Polarity of the output event."""
+
+    def at(self, tin_ps: float) -> Tuple[float, float]:
+        """``(delay_ps, tout_ps)`` for an input transition of ``tin_ps``."""
+
+
+#: A gate's bound arcs, ``(rising-input arc, falling-input arc)``:
+#: index with ``input_edge is Edge.FALL``.
+GateArcs = Tuple[BoundArc, BoundArc]
 
 
 @dataclass(frozen=True)
@@ -208,6 +233,18 @@ class DelayBackend(ABC):
         """
 
     @abstractmethod
+    def bind_arcs(
+        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
+    ) -> GateArcs:
+        """Bind one gate's two input-edge arcs at a fixed size and load.
+
+        Everything that does not depend on the input transition is
+        evaluated here, once; :meth:`BoundArc.at` then times an arc per
+        input slope in the same operation order as a one-shot
+        evaluation, so binding never moves a float.  Raises
+        ``ValueError`` for a non-positive drive or a negative load.
+        """
+
     def gate_timing(
         self,
         cell: Cell,
@@ -217,7 +254,13 @@ class DelayBackend(ABC):
         tin_ps: float,
         input_edge: Edge,
     ) -> GateTiming:
-        """Delay/transition of one gate arc (the scalar kernel)."""
+        """Delay/transition of one gate arc (a thin caller of :meth:`bind_arcs`)."""
+        if tin_ps < 0:
+            raise ValueError(f"tin_ps must be non-negative, got {tin_ps}")
+        arcs = self.bind_arcs(cell, tech, cin_ff, cload_ext_ff)
+        arc = arcs[input_edge is Edge.FALL]
+        delay, tout = arc.at(tin_ps)
+        return GateTiming(delay_ps=delay, tout_ps=tout, output_edge=arc.output_edge)
 
     @abstractmethod
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:
@@ -232,7 +275,7 @@ class AnalyticBackend(DelayBackend):
     """The paper's closed-form eq. 1-3 model behind the backend seam.
 
     Every surface delegates to the pre-existing kernels --
-    :func:`~repro.timing.delay_model.gate_delay`, the mc level loop,
+    :func:`~repro.timing.delay_model.bind_gate_arcs`, the mc level loop,
     the batch-probe pair math -- so the analytic stack through the seam
     is bit-identical to the pre-seam code, float for float.
     """
@@ -245,17 +288,11 @@ class AnalyticBackend(DelayBackend):
         """The analytic model is fully determined by (tech, cells)."""
         return ("analytic",)
 
-    def gate_timing(
-        self,
-        cell: Cell,
-        tech: Technology,
-        cin_ff: float,
-        cload_ext_ff: float,
-        tin_ps: float,
-        input_edge: Edge,
-    ) -> GateTiming:
-        """Eq. 1 timing via :func:`~repro.timing.delay_model.gate_delay`."""
-        return gate_delay(cell, tech, cin_ff, cload_ext_ff, tin_ps, input_edge)
+    def bind_arcs(
+        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
+    ) -> GateArcs:
+        """Eq. 1 arcs via :func:`~repro.timing.delay_model.bind_gate_arcs`."""
+        return bind_gate_arcs(cell, tech, cin_ff, cload_ext_ff)
 
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:
         """The mc kernel's analytic level loop (lazy import: no cycle)."""

@@ -61,18 +61,22 @@ def to_bounded_path(
     sizes: Optional[Mapping[str, float]] = None,
     output_load_ff: Optional[float] = None,
     input_transition_ps: float = 0.0,
+    loads: Optional[Mapping[str, float]] = None,
 ) -> BoundedPath:
     """Freeze a gate-name chain into a bounded path.
 
     ``sizes`` provides the off-path loading context (defaults to the
     current circuit sizing); the first gate's current size becomes the
-    fixed drive.
+    fixed drive.  ``loads`` reuses the external loads of an STA of the
+    same sizing and boundary (:attr:`StaResult.loads_ff
+    <repro.timing.sta.StaResult.loads_ff>`) instead of recomputing them.
     """
     if not gate_names:
         raise ValueError("gate_names must be non-empty")
     if sizes is None:
         sizes = gate_sizes(circuit, library)
-    loads = external_loads(circuit, library, output_load_ff, sizes)
+    if loads is None:
+        loads = external_loads(circuit, library, output_load_ff, sizes)
 
     stages: List[PathStage] = []
     for position, name in enumerate(gate_names):
@@ -112,39 +116,41 @@ def apply_path_sizes(
 
 
 def _reverse_potentials(
-    circuit: Circuit,
-    library: Library,
-    sizes: Mapping[str, float],
-    loads: Mapping[str, float],
-    slews: Mapping[str, Dict[Edge, float]],
-) -> Dict[Tuple[str, Edge], float]:
+    circuit: Circuit, sta: StaResult
+) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Max remaining delay from (net, edge) to any primary output.
 
-    Uses the STA slews as the per-pin input transition estimate, which
-    makes the potential a tight (if not strictly admissible) heuristic.
+    Returns ``(rise, fall)``: per-edge maps from net to potential, so
+    the A* loop indexes them with ``edge is Edge.FALL``.  Uses the STA
+    slews as the per-pin input transition estimate, which makes the
+    potential a tight (if not strictly admissible) heuristic.
     """
-    fanout = circuit.fanout_map()
+    arcs = sta.arcs
+    fanout = sta.fanout
+    arrivals = sta.arrivals
     output_set = set(circuit.outputs)
-    backend = library.delay_backend
-    potential: Dict[Tuple[str, Edge], float] = {}
-    order = circuit.topological_order()
-    all_nets = list(circuit.inputs) + order
+    fall = Edge.FALL
+    neg_inf = float("-inf")
+    potential: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
+    sides = tuple(enumerate(zip((Edge.RISE, fall), potential)))
+    all_nets = list(circuit.inputs) + list(sta.order)
     for net in reversed(all_nets):
-        for edge in (Edge.RISE, Edge.FALL):
-            best = 0.0 if net in output_set else float("-inf")
-            slew = slews.get(net, {}).get(edge, 0.0)
-            for succ in fanout.get(net, ()):
-                gate = circuit.gates[succ]
-                cell = library.cell(gate.kind)
-                timing = backend.gate_timing(
-                    cell, library.tech, sizes[succ], loads[succ], slew, edge
-                )
-                downstream = potential.get((succ, timing.output_edge))
+        per_net = arrivals[net]
+        succs = fanout.get(net, ())
+        start = 0.0 if net in output_set else neg_inf
+        for side, (edge, own) in sides:
+            best = start
+            slew = per_net[edge].transition_ps
+            for succ in succs:
+                arc = arcs[succ][side]
+                downstream = potential[arc.output_edge is fall].get(succ)
                 if downstream is None:
                     continue
-                best = max(best, timing.delay_ps + downstream)
-            if best > float("-inf"):
-                potential[(net, edge)] = best
+                candidate = arc.at(slew)[0] + downstream
+                if candidate > best:  # max(best, candidate), first wins ties
+                    best = candidate
+            if best > neg_inf:
+                own[net] = best
     return potential
 
 
@@ -163,33 +169,34 @@ def k_critical_paths(
     degenerates to the classic critical path.  ``sta`` skips the
     internal full analysis when the caller already holds the circuit's
     current annotation (e.g. from an
-    :class:`~repro.timing.incremental.IncrementalSta` engine); it must
-    have been computed under the same transition/load parameters.
+    :class:`~repro.timing.incremental.IncrementalSta` engine); the
+    search then runs on its arc, fan-out, order, size and load tables.
+    It must have been timed under the same transition/load parameters:
+    a mismatch raises ``ValueError``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    circuit.validate()
-    sizes = gate_sizes(circuit, library)
+    if output_load_ff is None:
+        output_load_ff = 4.0 * library.cref
     if sta is None:
         sta = analyze(
             circuit,
             library,
             input_transition_ps=input_transition_ps,
             output_load_ff=output_load_ff,
-            sizes=sizes,
         )
-    loads = sta.loads_ff
-    slews = {
-        net: {edge: ev.transition_ps for edge, ev in per_net.items()}
-        for net, per_net in sta.arrivals.items()
-    }
-    potential = _reverse_potentials(circuit, library, sizes, loads, slews)
+    else:
+        sta.check_boundary(input_transition_ps, output_load_ff)
+    sizes = sta.sizes_ff
+    arcs = sta.arcs
+    fanout = sta.fanout
+    potential = _reverse_potentials(circuit, sta)
 
     counter = itertools.count()
     heap: List[Tuple[float, int, str, Edge, float, float, Tuple[str, ...]]] = []
     for net in circuit.inputs:
         for edge in (Edge.RISE, Edge.FALL):
-            pot = potential.get((net, edge))
+            pot = potential[edge is Edge.FALL].get(net)
             if pot is None:
                 continue
             heapq.heappush(
@@ -197,9 +204,8 @@ def k_critical_paths(
                 (-pot, next(counter), net, edge, 0.0, input_transition_ps, ()),
             )
 
-    fanout = circuit.fanout_map()
     output_set = set(circuit.outputs)
-    backend = library.delay_backend
+    gates = circuit.gates
     results: List[ExtractedPath] = []
     seen_paths: set = set()
     expansions = 0
@@ -209,8 +215,7 @@ def k_critical_paths(
     while heap and len(results) < want and expansions < max_expansions:
         neg_priority, _, net, edge, arrival, slew, prefix = heapq.heappop(heap)
         expansions += 1
-        is_gate = net in circuit.gates
-        if is_gate and net in output_set:
+        if net in output_set and net in gates:
             if prefix not in seen_paths:
                 seen_paths.add(prefix)
                 first_edge = _path_input_edge(circuit, library, prefix, edge)
@@ -220,8 +225,8 @@ def k_critical_paths(
                     prefix,
                     first_edge,
                     sizes=sizes,
-                    output_load_ff=output_load_ff,
                     input_transition_ps=input_transition_ps,
+                    loads=sta.loads_ff,
                 )
                 exact = evaluate_path(
                     bounded, [sizes[g] for g in prefix], library
@@ -234,16 +239,15 @@ def k_critical_paths(
                         delay_ps=exact,
                     )
                 )
+        side = edge is Edge.FALL
         for succ in fanout.get(net, ()):
-            gate = circuit.gates[succ]
-            cell = library.cell(gate.kind)
-            timing = backend.gate_timing(
-                cell, library.tech, sizes[succ], loads[succ], slew, edge
-            )
-            pot = potential.get((succ, timing.output_edge))
+            arc = arcs[succ][side]
+            out_edge = arc.output_edge
+            pot = potential[out_edge is Edge.FALL].get(succ)
             if pot is None and succ not in output_set:
                 continue
-            new_arrival = arrival + timing.delay_ps
+            delay, tout = arc.at(slew)
+            new_arrival = arrival + delay
             priority = new_arrival + (pot or 0.0)
             heapq.heappush(
                 heap,
@@ -251,9 +255,9 @@ def k_critical_paths(
                     -priority,
                     next(counter),
                     succ,
-                    timing.output_edge,
+                    out_edge,
                     new_arrival,
-                    timing.tout_ps,
+                    tout,
                     prefix + (succ,),
                 ),
             )

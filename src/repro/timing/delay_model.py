@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Tuple
 
 from repro.cells.cell import Cell
 from repro.process.technology import Technology
@@ -105,6 +106,59 @@ class GateTiming:
     output_edge: Edge
 
 
+class AffineArc(NamedTuple):
+    """One eq. 1 gate arc bound at a fixed ``(size, load)``.
+
+    Under eq. 1-3 a gate's output transition depends on its size and
+    load but not on its input slope, so once those are fixed an input
+    edge reduces to four numbers: the output polarity, the slope
+    coefficient ``a = 0.5 * v_T``, the intercept
+    ``b = 0.5 * coupling * tout`` and ``tout`` itself.  :meth:`at`
+    evaluates ``a * tin + b`` -- the same two products and one sum, in
+    the same order, as the closed form
+    ``0.5 * v_T * tin + 0.5 * coupling * tout``, so a bound arc is bit
+    for bit the scalar kernel.
+    """
+
+    output_edge: Edge
+    a: float
+    b: float
+    tout_ps: float
+
+    def at(self, tin_ps: float) -> Tuple[float, float]:
+        """``(delay_ps, tout_ps)`` of the arc for an input transition."""
+        return self.a * tin_ps + self.b, self.tout_ps
+
+
+def _bind_arc(
+    cell: Cell, tech: Technology, cin_ff: float, cl_total: float, input_edge: Edge
+) -> AffineArc:
+    out_edge = output_edge_for(cell, input_edge)
+    tout = output_transition_time(cell, tech, cin_ff, cl_total, out_edge)
+    cm = cell.coupling_cap(cin_ff, input_rising=input_edge is Edge.RISE)
+    vt = tech.vtn_reduced if input_edge is Edge.RISE else tech.vtp_reduced
+    b = 0.5 * coupling_factor(cm, cl_total) * tout
+    return AffineArc(out_edge, 0.5 * vt, b, tout)
+
+
+def bind_gate_arcs(
+    cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
+) -> Tuple[AffineArc, AffineArc]:
+    """The eq. 1 arcs of one gate at a fixed drive and external load.
+
+    Returns ``(rising-input arc, falling-input arc)``; index it with
+    ``input_edge is Edge.FALL``.  This is the one implementation of
+    eq. 1-3: :func:`gate_delay` and every whole-circuit engine evaluate
+    through it.  Raises ``ValueError`` for a non-positive drive or a
+    negative total load, exactly as the per-arc kernel always did.
+    """
+    cl_total = total_load(cell, cin_ff, cload_ext_ff)
+    return (
+        _bind_arc(cell, tech, cin_ff, cl_total, Edge.RISE),
+        _bind_arc(cell, tech, cin_ff, cl_total, Edge.FALL),
+    )
+
+
 def gate_delay(
     cell: Cell,
     tech: Technology,
@@ -113,7 +167,7 @@ def gate_delay(
     tin_ps: float,
     input_edge: Edge,
 ) -> GateTiming:
-    """Full eq. 1 delay of one gate.
+    """Full eq. 1 delay of one gate arc (a thin caller of :func:`bind_gate_arcs`).
 
     Parameters
     ----------
@@ -131,13 +185,9 @@ def gate_delay(
     """
     if tin_ps < 0:
         raise ValueError(f"tin_ps must be non-negative, got {tin_ps}")
-    out_edge = output_edge_for(cell, input_edge)
-    cl_total = total_load(cell, cin_ff, cload_ext_ff)
-    tout = output_transition_time(cell, tech, cin_ff, cl_total, out_edge)
-    cm = cell.coupling_cap(cin_ff, input_rising=input_edge is Edge.RISE)
-    vt = tech.vtn_reduced if input_edge is Edge.RISE else tech.vtp_reduced
-    delay = 0.5 * vt * tin_ps + 0.5 * coupling_factor(cm, cl_total) * tout
-    return GateTiming(delay_ps=delay, tout_ps=tout, output_edge=out_edge)
+    arc = bind_gate_arcs(cell, tech, cin_ff, cload_ext_ff)[input_edge is Edge.FALL]
+    delay, tout = arc.at(tin_ps)
+    return GateTiming(delay_ps=delay, tout_ps=tout, output_edge=arc.output_edge)
 
 
 def fanout_four_delay(cell: Cell, tech: Technology, cin_ff: float) -> float:

@@ -12,10 +12,17 @@ propagation stops early wherever the recomputed arrivals are identical
 to the stored ones (the change-propagation discipline of incremental
 timers; only the affected cone pays).
 
+Each gate's delay arcs are bound once per size/load
+(:func:`~repro.timing.sta.bind_gate`) and kept beside its size and
+load; an update rebinds only the gates whose size or load changed, so
+a cone re-propagation times every fan-in event with one multiply and
+one add instead of a full eq. 1 evaluation.
+
 Bit-identical contract
 ----------------------
 ``IncrementalSta`` shares the per-gate kernels of the full engine
-(:func:`~repro.timing.sta.propagate_gate`,
+(:func:`~repro.timing.sta.bind_gate`,
+:func:`~repro.timing.sta.propagate_gate`,
 :func:`~repro.timing.sta.gate_external_load`,
 :func:`~repro.timing.sta.critical_endpoint`), recomputes loads in the
 same fan-out-map order, and compares events exactly -- so after any
@@ -41,15 +48,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cells.library import Library
 from repro.netlist.circuit import Circuit
 from repro.netlist.wireload import WireLoadModel
+from repro.timing.backend import GateArcs
 from repro.timing.delay_model import Edge
 from repro.timing.sta import (
     ArrivalEvent,
     StaResult,
+    bind_gate,
+    check_input_transition,
     critical_endpoint,
     gate_external_load,
     propagate_gate,
@@ -93,14 +103,19 @@ class IncrementalSta:
 
     Parameters mirror :func:`~repro.timing.sta.analyze`; the engine owns
     a *reference* to ``circuit`` (not a copy): callers mutate the
-    circuit, then tell the engine what changed.
+    circuit, then tell the engine what changed.  ``start`` seeds the
+    engine with a finished annotation of ``circuit``'s current state
+    (timed under the same boundary, e.g. a cached :meth:`result` of
+    another engine) instead of a full build.
 
     Notes
     -----
-    :meth:`result` returns a view whose top-level dicts are snapshots
-    but whose per-net event dicts are shared; the engine never mutates a
-    per-net dict in place (it only replaces them), so returned results
-    stay internally consistent after further updates.
+    :meth:`result` returns a view whose arrivals dict is a snapshot but
+    whose per-net event dicts and size/load/arc/structure tables are
+    shared; the engine never mutates a shared table in place (it
+    replaces per-net dicts, and copies the size/load/arc tables before
+    its first change after handing them out), so returned results stay
+    internally consistent after further updates.
     """
 
     def __init__(
@@ -110,7 +125,9 @@ class IncrementalSta:
         input_transition_ps: float = 0.0,
         output_load_ff: Optional[float] = None,
         wire_model: Optional[WireLoadModel] = None,
+        start: Optional[StaResult] = None,
     ) -> None:
+        check_input_transition(input_transition_ps)
         self.circuit = circuit
         self.library = library
         self.input_transition_ps = input_transition_ps
@@ -125,7 +142,13 @@ class IncrementalSta:
         # overhead gate enforces.
         self.tracer: Optional[Any] = None
         self._arrivals: Dict[str, Dict[Edge, ArrivalEvent]] = {}
-        self.rebuild()
+        # Whether _sizes/_loads/_arcs are referenced by a handed-out
+        # result (copy them before the next in-place change).
+        self._tables_shared = False
+        if start is None:
+            self.rebuild()
+        else:
+            self._adopt(start)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -150,11 +173,31 @@ class IncrementalSta:
             self.wire_model,
         )
 
+    def _bind(self, name: str) -> GateArcs:
+        return bind_gate(
+            self.circuit.gates[name], self.library, self._sizes[name], self._loads[name]
+        )
+
+    def _own_tables(self) -> None:
+        """Copy the size/load/arc tables a result still references."""
+        if self._tables_shared:
+            self._sizes = dict(self._sizes)
+            self._loads = dict(self._loads)
+            self._arcs = dict(self._arcs)
+            self._tables_shared = False
+
     def _build_structure(self) -> None:
+        """Validate, then build the structure tables from one fan-out map."""
+        fanout = self.circuit.fanout_map()
+        self._set_structure(self.circuit.validate(fanout), fanout)
+
+    def _set_structure(
+        self, order: Sequence[str], fanout: Mapping[str, Sequence[str]]
+    ) -> None:
         """Topological order, levels, fan-out map and fan-in snapshot."""
-        self._order: List[str] = self.circuit.topological_order()
-        self._level: Dict[str, int] = {name: i for i, name in enumerate(self._order)}
-        self._fanout: Dict[str, List[str]] = self.circuit.fanout_map()
+        self._order = order
+        self._level: Dict[str, int] = {name: i for i, name in enumerate(order)}
+        self._fanout = fanout
         self._output_set: Set[str] = set(self.circuit.outputs)
         # Fan-in tuple and kind per gate: the rewiring/retyping part of
         # the structure diff (sizes and loads are diffed separately).
@@ -172,7 +215,6 @@ class IncrementalSta:
 
     def rebuild(self) -> StaResult:
         """From-scratch propagation (the constructor's path)."""
-        self.circuit.validate()
         self.stats.full_builds += 1
         self._build_structure()
         self._sizes: Dict[str, float] = {
@@ -181,18 +223,36 @@ class IncrementalSta:
         self._loads: Dict[str, float] = {
             name: self._gate_load(name) for name in self.circuit.gates
         }
+        self._arcs: Dict[str, GateArcs] = {}
+        self._tables_shared = False
         self._arrivals = {}
         self._seed_inputs()
+        gates = self.circuit.gates
         for name in self._order:
-            self._arrivals[name] = propagate_gate(
-                self.circuit.gates[name],
-                self.library,
-                self._sizes[name],
-                self._loads[name],
-                self._arrivals,
-            )
+            arcs = self._arcs[name] = self._bind(name)
+            self._arrivals[name] = propagate_gate(gates[name], arcs, self._arrivals)
         self._refresh_critical()
         return self.result()
+
+    def _adopt(self, start: StaResult) -> None:
+        """Take over ``start``, an annotation of the circuit as it stands.
+
+        Checks the boundary and the per-gate sizes; the structure, load
+        and arc tables are shared with ``start`` (copy-on-write) and
+        nothing is re-timed.
+        """
+        start.check_boundary(self.input_transition_ps, self.output_load_ff)
+        sizes = {name: self._gate_size(name) for name in self.circuit.gates}
+        if sizes != start.sizes_ff:
+            raise ValueError("start annotation was timed at a different sizing")
+        self._set_structure(start.order, start.fanout)
+        self._sizes = sizes
+        self._loads = start.loads_ff
+        self._arcs = start.arcs
+        self._tables_shared = True
+        self._arrivals = dict(start.arrivals)
+        self.critical_delay_ps = start.critical_delay_ps
+        self.critical_output = start.critical_output
 
     def _refresh_critical(self) -> None:
         self.critical_delay_ps, self.critical_output = critical_endpoint(
@@ -237,6 +297,7 @@ class IncrementalSta:
             gate = self.circuit.gates[name]
             new_size = self._gate_size(name)
             if new_size != self._sizes[name]:
+                self._own_tables()
                 self._sizes[name] = new_size
                 dirty.add(name)
                 for source in gate.fanin:
@@ -248,6 +309,8 @@ class IncrementalSta:
                 self._loads[name] = new_load
                 dirty.add(name)
         if dirty:
+            for name in dirty:
+                self._arcs[name] = self._bind(name)
             self._propagate(dirty)
         return self.result()
 
@@ -259,11 +322,11 @@ class IncrementalSta:
         the gates that actually differ -- a trial buffer insertion pays
         dictionary work plus its fan-out cone, not a full STA.
         """
-        self.circuit.validate()
         self.stats.structure_refreshes += 1
         old_sizes = self._sizes
         old_loads = self._loads
         old_fanin = self._fanin
+        old_arcs = self._arcs
         self._build_structure()
         self._sizes = {name: self._gate_size(name) for name in self.circuit.gates}
         self._loads = {name: self._gate_load(name) for name in self.circuit.gates}
@@ -288,6 +351,13 @@ class IncrementalSta:
                 or old_fanin.get(name) != self._fanin[name]
             ):
                 dirty.add(name)
+        # Arcs follow (kind, size, load), all of which mark a gate dirty:
+        # keep every clean gate's entry in a fresh, unshared table.
+        self._arcs = {
+            name: self._bind(name) if name in dirty else old_arcs[name]
+            for name in self.circuit.gates
+        }
+        self._tables_shared = False
         if dirty:
             self._propagate(dirty)
         else:
@@ -319,11 +389,7 @@ class IncrementalSta:
             queued.discard(name)
             self.stats.gates_reevaluated += 1
             best = propagate_gate(
-                self.circuit.gates[name],
-                self.library,
-                self._sizes[name],
-                self._loads[name],
-                self._arrivals,
+                self.circuit.gates[name], self._arcs[name], self._arrivals
             )
             if best == self._arrivals.get(name):
                 # Replace anyway: keeps dict insertion order canonical.
@@ -342,14 +408,23 @@ class IncrementalSta:
     def result(self) -> StaResult:
         """Current annotation as a :class:`~repro.timing.sta.StaResult`.
 
-        Top-level dicts are copied (stable against later updates); the
-        per-net event dicts are shared but never mutated in place.
+        The arrivals dict is copied; the per-net event dicts and the
+        size/load/arc/structure tables are shared but never mutated in
+        place afterwards (see the class notes), so the result is stable
+        against later updates.
         """
+        self._tables_shared = True
         return StaResult(
             arrivals=dict(self._arrivals),
-            loads_ff=dict(self._loads),
+            loads_ff=self._loads,
             critical_delay_ps=self.critical_delay_ps,
             critical_output=self.critical_output,
+            input_transition_ps=self.input_transition_ps,
+            output_load_ff=self.output_load_ff,
+            sizes_ff=self._sizes,
+            arcs=self._arcs,
+            order=self._order,
+            fanout=self._fanout,
         )
 
     def arrival(self, net: str, edge: Edge) -> float:

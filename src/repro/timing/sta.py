@@ -3,9 +3,11 @@
 Polarity-aware block-based STA using the eq. 1 delay model: every net
 carries separate rising/falling arrival times and transition times; gate
 arcs map input polarity to output polarity through the cell's inversion
-property.  Loads are assembled from the fan-out input capacitances plus a
-configurable primary-output (register) load, exactly the bounded-path
-boundary conditions of the paper lifted to whole circuits.
+property.  Each gate's arcs are bound once at its size and load
+(:func:`bind_gate`) and then timed per fan-in event.  Loads are
+assembled from the fan-out input capacitances plus a configurable
+primary-output (register) load, exactly the bounded-path boundary
+conditions of the paper lifted to whole circuits.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cells.library import Library
 from repro.netlist.circuit import Circuit, GateInstance
 from repro.netlist.wireload import WireLoadModel
+from repro.timing.backend import GateArcs
 from repro.timing.delay_model import Edge
 
 
@@ -43,16 +46,62 @@ class StaResult:
         Worst arrival over all primary outputs and polarities.
     critical_output:
         The (net, edge) achieving it.
+    input_transition_ps / output_load_ff:
+        The boundary the annotation was timed under: the primary-input
+        transition and the (resolved) primary-output load.  Consumers
+        that reuse an annotation check them against their own.
+    sizes_ff:
+        Per-gate input capacitance the annotation was timed at.
+    arcs:
+        Per-gate bound arcs (:meth:`DelayBackend.bind_arcs
+        <repro.timing.backend.DelayBackend.bind_arcs>`) at ``sizes_ff``
+        and ``loads_ff``.
+    order / fanout:
+        Topological gate order and net -> fan-out gate names of the
+        timed structure.
+
+    ``loads_ff``, ``sizes_ff``, ``arcs``, ``order`` and ``fanout`` may be
+    shared with the engine that produced the result (and with other
+    results of it); the engine replaces a shared table before changing
+    it, never edits it, so they are read-only snapshots.
     """
 
     arrivals: Dict[str, Dict[Edge, ArrivalEvent]]
     loads_ff: Dict[str, float]
     critical_delay_ps: float
     critical_output: Tuple[str, Edge]
+    input_transition_ps: float
+    output_load_ff: float
+    sizes_ff: Mapping[str, float]
+    arcs: Mapping[str, GateArcs]
+    order: Sequence[str]
+    fanout: Mapping[str, Sequence[str]]
 
     def arrival(self, net: str, edge: Edge) -> float:
         """Arrival time of ``edge`` at ``net`` (ps)."""
         return self.arrivals[net][edge].time_ps
+
+    def check_boundary(
+        self, input_transition_ps: float, output_load_ff: float
+    ) -> None:
+        """Raise ``ValueError`` unless timed under exactly this boundary."""
+        if (
+            self.input_transition_ps != input_transition_ps
+            or self.output_load_ff != output_load_ff
+        ):
+            raise ValueError(
+                "StaResult was timed under input_transition_ps="
+                f"{self.input_transition_ps}, output_load_ff={self.output_load_ff}; "
+                f"caller asked for {input_transition_ps}, {output_load_ff}"
+            )
+
+
+def check_input_transition(input_transition_ps: float) -> None:
+    """Reject a negative primary-input transition (as every arc would)."""
+    if input_transition_ps < 0:
+        raise ValueError(
+            f"input_transition_ps must be non-negative, got {input_transition_ps}"
+        )
 
 
 def gate_sizes(circuit: Circuit, library: Library) -> Dict[str, float]:
@@ -95,19 +144,22 @@ def external_loads(
     output_load_ff: Optional[float] = None,
     sizes: Optional[Mapping[str, float]] = None,
     wire_model: Optional["WireLoadModel"] = None,
+    fanout: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> Dict[str, float]:
     """External load (fF) at every gate output.
 
     Fan-out gate input capacitances, plus ``output_load_ff`` on every
     primary output net (default: four reference inverters -- a register
     input), plus -- when a :class:`~repro.netlist.wireload.WireLoadModel`
-    is supplied -- the fan-out based routing estimate.
+    is supplied -- the fan-out based routing estimate.  ``fanout`` reuses
+    a fan-out map the caller already holds.
     """
     if output_load_ff is None:
         output_load_ff = 4.0 * library.cref
     if sizes is None:
         sizes = gate_sizes(circuit, library)
-    fanout = circuit.fanout_map()
+    if fanout is None:
+        fanout = circuit.fanout_map()
     output_set = set(circuit.outputs)
     return {
         name: gate_external_load(
@@ -117,11 +169,18 @@ def external_loads(
     }
 
 
+def bind_gate(
+    gate: GateInstance, library: Library, size_ff: float, load_ff: float
+) -> GateArcs:
+    """The gate's arcs under the library's delay backend at one size/load."""
+    return library.delay_backend.bind_arcs(
+        library.cell(gate.kind), library.tech, size_ff, load_ff
+    )
+
+
 def propagate_gate(
     gate: GateInstance,
-    library: Library,
-    size_ff: float,
-    load_ff: float,
+    arcs: GateArcs,
     arrivals: Mapping[str, Dict[Edge, ArrivalEvent]],
 ) -> Dict[Edge, ArrivalEvent]:
     """Latest arrival events at one gate output from its fan-in arrivals.
@@ -130,33 +189,21 @@ def propagate_gate(
     by :func:`analyze` and :class:`~repro.timing.incremental.IncrementalSta`
     so a cone re-propagation reproduces the full run bit for bit
     (including the strict ``>`` tie-breaking and dict insertion order).
-    Each arc is timed through the library's delay backend; the analytic
-    backend delegates straight to
-    :func:`~repro.timing.delay_model.gate_delay`, keeping the default
-    stack bit-identical to the pre-backend code.
+    ``arcs`` is the gate's bound arc pair (:func:`bind_gate`): each
+    fan-in event is timed by the arc of its polarity, and an event is
+    built only for a candidate that takes the lead.
     """
-    cell = library.cell(gate.kind)
-    backend = library.delay_backend
-    tech = library.tech
+    rise_arc, fall_arc = arcs
     best: Dict[Edge, ArrivalEvent] = {}
     for source in gate.fanin:
         for in_edge, event in arrivals[source].items():
-            timing = backend.gate_timing(
-                cell,
-                tech,
-                size_ff,
-                load_ff,
-                event.transition_ps,
-                in_edge,
-            )
-            candidate = ArrivalEvent(
-                time_ps=event.time_ps + timing.delay_ps,
-                transition_ps=timing.tout_ps,
-                cause=(source, in_edge),
-            )
-            current = best.get(timing.output_edge)
-            if current is None or candidate.time_ps > current.time_ps:
-                best[timing.output_edge] = candidate
+            arc = fall_arc if in_edge is Edge.FALL else rise_arc
+            delay, tout = arc.at(event.transition_ps)
+            time_ps = event.time_ps + delay
+            out_edge = arc.output_edge
+            current = best.get(out_edge)
+            if current is None or time_ps > current.time_ps:
+                best[out_edge] = ArrivalEvent(time_ps, tout, (source, in_edge))
     return best
 
 
@@ -186,10 +233,16 @@ def analyze(
     wire_model: Optional["WireLoadModel"] = None,
 ) -> StaResult:
     """Run polarity-aware STA; returns arrivals and the critical delay."""
-    circuit.validate()
-    if sizes is None:
-        sizes = gate_sizes(circuit, library)
-    loads = external_loads(circuit, library, output_load_ff, sizes, wire_model)
+    fanout = circuit.fanout_map()
+    order = circuit.validate(fanout)
+    check_input_transition(input_transition_ps)
+    if output_load_ff is None:
+        output_load_ff = 4.0 * library.cref
+    # A private copy: the result keeps the sizes it was timed at.
+    sizes = gate_sizes(circuit, library) if sizes is None else dict(sizes)
+    loads = external_loads(
+        circuit, library, output_load_ff, sizes, wire_model, fanout=fanout
+    )
 
     arrivals: Dict[str, Dict[Edge, ArrivalEvent]] = {}
     for net in circuit.inputs:
@@ -198,9 +251,11 @@ def analyze(
             Edge.FALL: ArrivalEvent(0.0, input_transition_ps),
         }
 
-    for name in circuit.topological_order():
+    arcs: Dict[str, GateArcs] = {}
+    for name in order:
         gate = circuit.gates[name]
-        arrivals[name] = propagate_gate(gate, library, sizes[name], loads[name], arrivals)
+        arcs[name] = bind_gate(gate, library, sizes[name], loads[name])
+        arrivals[name] = propagate_gate(gate, arcs[name], arrivals)
 
     critical_time, critical = critical_endpoint(arrivals, circuit.outputs)
     return StaResult(
@@ -208,6 +263,12 @@ def analyze(
         loads_ff=loads,
         critical_delay_ps=critical_time,
         critical_output=critical,
+        input_transition_ps=input_transition_ps,
+        output_load_ff=output_load_ff,
+        sizes_ff=sizes,
+        arcs=arcs,
+        order=order,
+        fanout=fanout,
     )
 
 

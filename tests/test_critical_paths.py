@@ -129,3 +129,42 @@ class TestWriteBack:
         result = optimize_circuit(circuit, lib, tc_ps=0.8 * before, k_paths=2,
                                   max_passes=3)
         assert result.critical_delay_ps <= before + 1e-6
+
+
+class TestStaReuse:
+    """A passed ``sta=`` must match the extraction's boundary."""
+
+    def test_matching_annotation_gives_identical_paths(self, lib):
+        circuit = load_benchmark("c432")
+        sta = analyze(circuit, lib)
+        fresh = k_critical_paths(circuit, lib, k=3)
+        reused = k_critical_paths(circuit, lib, k=3, sta=sta)
+        assert [p.gate_names for p in reused] == [p.gate_names for p in fresh]
+        assert [p.delay_ps for p in reused] == [p.delay_ps for p in fresh]
+        assert [p.path for p in reused] == [p.path for p in fresh]
+
+    @pytest.mark.parametrize(
+        "sta_kwargs, call_kwargs",
+        [
+            (dict(input_transition_ps=20.0), {}),
+            ({}, dict(input_transition_ps=20.0)),
+            (dict(output_load_ff=3.0), {}),
+            ({}, dict(output_load_ff=3.0)),
+        ],
+    )
+    def test_mismatched_boundary_is_rejected(self, lib, sta_kwargs, call_kwargs):
+        circuit = load_benchmark("fpd")
+        sta = analyze(circuit, lib, **sta_kwargs)
+        with pytest.raises(ValueError, match="timed under"):
+            k_critical_paths(circuit, lib, k=2, sta=sta, **call_kwargs)
+
+    def test_explicit_default_load_matches_resolved_default(self, lib):
+        circuit = load_benchmark("fpd")
+        sta = analyze(circuit, lib)
+        assert sta.output_load_ff == 4.0 * lib.cref
+        top = critical_path(circuit, lib, output_load_ff=4.0 * lib.cref, sta=sta)
+        assert top.gate_names == critical_path(circuit, lib).gate_names
+
+    def test_negative_input_transition_is_rejected(self, lib):
+        with pytest.raises(ValueError, match="non-negative"):
+            k_critical_paths(load_benchmark("fpd"), lib, input_transition_ps=-1.0)

@@ -23,7 +23,7 @@ from repro.iscas.loader import load_benchmark
 from repro.netlist.builders import ripple_carry_adder
 from repro.sizing.sensitivity import circuit_gate_sensitivities
 from repro.timing.incremental import IncrementalSta
-from repro.timing.sta import analyze
+from repro.timing.sta import analyze, bind_gate
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,52 @@ class TestRandomEditEquivalence:
                 remove_buffer_pair(circuit, target)
                 engine.refresh_structure()
             assert_matches_oracle(engine, circuit, lib, f"{name} seed={seed} step={step}")
+
+    @pytest.mark.parametrize("name", ("fpd", "c880"))
+    def test_arc_table_matches_fresh_binds(self, lib, name):
+        """After update/refresh/retarget sequences the engine's bound arcs
+        equal arcs bound from scratch at its sizes and loads."""
+        rng = random.Random(hash(("arcs", name)) & 0xFFFFFFFF)
+        circuit = load_benchmark(name)
+        engine = IncrementalSta(circuit, lib)
+        held = []  # results whose shared tables must stay untouched
+        for step in range(20):
+            snapshot = engine.result()
+            held.append((snapshot, dict(snapshot.arcs), dict(snapshot.sizes_ff)))
+            roll = rng.random()
+            if roll < 0.6:
+                chosen = rng.sample(list(circuit.gates), rng.randint(1, 4))
+                for gate_name in chosen:
+                    gate = circuit.gates[gate_name]
+                    base = gate.cin_ff if gate.cin_ff is not None else 1.0
+                    gate.cin_ff = max(base * rng.uniform(0.4, 2.5), 0.3)
+                engine.update(chosen)
+            elif roll < 0.8:
+                candidates = [g for g in circuit.gates if "_buf" not in g]
+                target = rng.choice(candidates)
+                if f"{target}_bufa" in circuit.gates:
+                    remove_buffer_pair(circuit, target)
+                else:
+                    insert_buffer_pair(circuit, target, lib)
+                engine.refresh_structure()
+            else:
+                circuit = circuit.copy()
+                for gate in rng.sample(list(circuit.gates.values()), 3):
+                    gate.cin_ff = rng.uniform(0.5, 8.0)
+                engine.retarget(circuit)
+            got = engine.result()
+            fresh = {
+                gate_name: bind_gate(
+                    gate, lib, got.sizes_ff[gate_name], got.loads_ff[gate_name]
+                )
+                for gate_name, gate in circuit.gates.items()
+            }
+            context = f"{name} step={step}"
+            assert got.arcs == fresh, context
+            assert got.arcs == analyze(circuit, lib).arcs, context
+            assert_matches_oracle(engine, circuit, lib, context)
+        for snapshot, arcs, sizes in held:
+            assert snapshot.arcs == arcs and snapshot.sizes_ff == sizes
 
     def test_adder_edit_sequence(self, lib):
         rng = random.Random(1234)
@@ -385,3 +431,51 @@ class TestRetarget:
         third = load_benchmark("fpd")
         engine.retarget(third)
         assert_matches_oracle(engine, third, lib, "retarget pristine")
+
+
+class TestAdoptAnnotation:
+    """``start=``: an engine seeded from a finished annotation."""
+
+    def test_adopted_engine_tracks_edits_like_a_built_one(self, lib):
+        circuit = load_benchmark("c432")
+        seed = IncrementalSta(circuit.copy(), lib).result()
+        engine = IncrementalSta(circuit, lib, start=seed)
+        assert engine.stats.full_builds == 0
+        assert_matches_oracle(engine, circuit, lib, "adopted")
+        rng = random.Random(5)
+        for step in range(8):
+            name = rng.choice(list(circuit.gates))
+            circuit.gates[name].cin_ff = rng.uniform(0.5, 8.0)
+            engine.update([name])
+            assert_matches_oracle(engine, circuit, lib, f"step={step}")
+        # The seed's shared tables were copied, not edited.
+        assert seed.sizes_ff == analyze(load_benchmark("c432"), lib).sizes_ff
+
+    def test_rejects_annotation_of_another_sizing(self, lib):
+        circuit = load_benchmark("fpd")
+        seed = analyze(circuit, lib)
+        next(iter(circuit.gates.values())).cin_ff = 7.0
+        with pytest.raises(ValueError, match="different sizing"):
+            IncrementalSta(circuit, lib, start=seed)
+
+    def test_rejects_annotation_of_another_boundary(self, lib):
+        circuit = load_benchmark("fpd")
+        seed = analyze(circuit, lib, input_transition_ps=15.0)
+        with pytest.raises(ValueError, match="timed under"):
+            IncrementalSta(circuit, lib, start=seed)
+
+    def test_circuit_optimize_reuses_the_session_annotation(self, lib):
+        from repro.api import Job, Session
+        from repro.obs.metrics import session_metrics
+        from repro.protocol.optimizer import WarmStart
+
+        session = Session(library=lib)
+        warm = WarmStart()
+        session.optimize(
+            Job(benchmark="fpd", tc_ratio=1.3, scope="circuit", max_passes=1),
+            warm=warm,
+        )
+        # The run's engine started from the Session's annotation: the
+        # only full build of the Job is the Session's own.
+        assert warm.engine.stats.full_builds == 0
+        assert session_metrics(session)["sta"]["full_builds"] == 1
