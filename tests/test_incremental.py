@@ -439,6 +439,7 @@ class TestAdoptAnnotation:
     def test_adopted_engine_tracks_edits_like_a_built_one(self, lib):
         circuit = load_benchmark("c432")
         seed = IncrementalSta(circuit.copy(), lib).result()
+        seed_tables = (dict(seed.sizes_ff), dict(seed.loads_ff), dict(seed.arcs))
         engine = IncrementalSta(circuit, lib, start=seed)
         assert engine.stats.full_builds == 0
         assert_matches_oracle(engine, circuit, lib, "adopted")
@@ -449,7 +450,7 @@ class TestAdoptAnnotation:
             engine.update([name])
             assert_matches_oracle(engine, circuit, lib, f"step={step}")
         # The seed's shared tables were copied, not edited.
-        assert seed.sizes_ff == analyze(load_benchmark("c432"), lib).sizes_ff
+        assert (seed.sizes_ff, seed.loads_ff, seed.arcs) == seed_tables
 
     def test_rejects_annotation_of_another_sizing(self, lib):
         circuit = load_benchmark("fpd")
@@ -479,3 +480,64 @@ class TestAdoptAnnotation:
         # only full build of the Job is the Session's own.
         assert warm.engine.stats.full_builds == 0
         assert session_metrics(session)["sta"]["full_builds"] == 1
+
+
+class TestSharedTablesUnderThreads:
+    """Session engines are shared by serve threads; results share tables."""
+
+    def test_concurrent_sizings_keep_every_result_exact(self, lib):
+        import sys
+        import threading
+
+        from repro.api import Session
+        from repro.timing.critical_paths import critical_path
+
+        session = Session(library=lib)
+        base = load_benchmark("c432")
+        names = list(base.gates)
+        failures = []
+        held = []
+        lock = threading.Lock()
+
+        def worker(index):
+            rng = random.Random(index)
+            try:
+                for _ in range(6):
+                    circuit = base.copy()
+                    for name in rng.sample(names, 5):
+                        circuit.gates[name].cin_ff = rng.uniform(0.5, 8.0)
+                    got = session.sta(circuit)
+                    path = session.critical_path(circuit)
+                    ref = analyze(circuit, lib)
+                    if (
+                        got.arrivals != ref.arrivals
+                        or got.loads_ff != ref.loads_ff
+                        or got.arcs != ref.arcs
+                        or got.sizes_ff != ref.sizes_ff
+                    ):
+                        failures.append(("sta", index))
+                    if path.gate_names != critical_path(circuit, lib).gate_names:
+                        failures.append(("path", index))
+                    with lock:
+                        held.append((got, ref))
+            except Exception as exc:  # reported by the assertion below
+                failures.append((repr(exc), index))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert len(held) == 36
+        # Later updates of the shared engine never edited a handed-out table.
+        for got, ref in held:
+            assert got.sizes_ff == ref.sizes_ff
+            assert got.loads_ff == ref.loads_ff
+            assert got.arcs == ref.arcs
