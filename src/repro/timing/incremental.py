@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cells.library import Library
 from repro.netlist.circuit import Circuit
@@ -191,9 +191,7 @@ class IncrementalSta:
         fanout = self.circuit.fanout_map()
         self._set_structure(self.circuit.validate(fanout), fanout)
 
-    def _set_structure(
-        self, order: Sequence[str], fanout: Mapping[str, Sequence[str]]
-    ) -> None:
+    def _set_structure(self, order: List[str], fanout: Dict[str, List[str]]) -> None:
         """Topological order, levels, fan-out map and fan-in snapshot."""
         self._order = order
         self._level: Dict[str, int] = {name: i for i, name in enumerate(order)}

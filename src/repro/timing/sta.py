@@ -72,10 +72,10 @@ class StaResult:
     critical_output: Tuple[str, Edge]
     input_transition_ps: float
     output_load_ff: float
-    sizes_ff: Mapping[str, float]
-    arcs: Mapping[str, GateArcs]
-    order: Sequence[str]
-    fanout: Mapping[str, Sequence[str]]
+    sizes_ff: Dict[str, float]
+    arcs: Dict[str, GateArcs]
+    order: List[str]
+    fanout: Dict[str, List[str]]
 
     def arrival(self, net: str, edge: Edge) -> float:
         """Arrival time of ``edge`` at ``net`` (ps)."""
