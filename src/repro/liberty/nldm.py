@@ -4,7 +4,7 @@
 :class:`~repro.timing.backend.DelayBackend` surface from the stacked
 tables of :class:`~repro.liberty.tables.NldmTables`:
 
-* the **scalar** surface binds a gate's :class:`TableArc` pair (table
+* the **scalar** surface binds a gate's :class:`TableArc` arcs (table
   index, effective load, output edge) and bilinearly interpolates the cell's
   ``cell_rise``/``cell_fall`` (delay) and ``rise_transition``/
   ``fall_transition`` (output slew) tables at ``(input slew, effective
@@ -50,7 +50,6 @@ from repro.timing.backend import (
     BackendCapabilities,
     BatchDelayModel,
     DelayBackend,
-    GateArcs,
     ProbeDelayModel,
 )
 from repro.timing.delay_model import Edge, output_edge_for
@@ -116,10 +115,15 @@ class NldmBackend(DelayBackend):
             )
         return idx
 
-    def bind_arcs(
-        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
-    ) -> GateArcs:
-        """Bind one gate's table arcs: cell index, effective load, output edges.
+    def bind_arc(
+        self,
+        cell: Cell,
+        tech: Technology,
+        cin_ff: float,
+        cload_ext_ff: float,
+        input_edge: Edge,
+    ) -> TableArc:
+        """Bind one table arc: cell index, effective load, output edge.
 
         Validation mirrors the analytic kernel so both backends reject
         the same ill-posed inputs with the same exception types.
@@ -130,11 +134,9 @@ class NldmBackend(DelayBackend):
             raise ValueError("cload_ext_ff must be non-negative")
         t = self.tables
         idx = self._cell_index(cell.kind)
+        out_edge = output_edge_for(cell, input_edge)
         l_eff = cload_ext_ff * (t.cin_ref[idx] / cin_ff)
-        return (
-            TableArc(output_edge_for(cell, Edge.RISE), idx, l_eff, t),
-            TableArc(output_edge_for(cell, Edge.FALL), idx, l_eff, t),
-        )
+        return TableArc(out_edge, idx, l_eff, t)
 
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:
         """Fold per-gate table selectors into a batch model."""

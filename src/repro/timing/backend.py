@@ -9,12 +9,13 @@ hard-wired the paper's analytic eq. 1-3 model.  A
 :class:`DelayBackend` lifts that model behind an interface with three
 surfaces:
 
-* **scalar** -- :meth:`DelayBackend.bind_arcs`, which binds one gate's
-  two input-edge arcs at a fixed ``(cell, size, load)``.  The
-  dict-walking engines (STA propagation, incremental STA, K-path
-  extraction) bind each gate once per size/load change and evaluate
-  its arcs per input transition; :meth:`DelayBackend.gate_timing`, the
-  single-arc kernel of generic path evaluation, is a thin caller of it;
+* **scalar** -- :meth:`DelayBackend.bind_arc`, which binds one gate
+  input-edge arc at a fixed ``(cell, size, load)``.  The dict-walking
+  engines (STA propagation, incremental STA, K-path extraction) bind a
+  gate's two arcs (:meth:`DelayBackend.bind_arcs`) once per size/load
+  change and evaluate them per input transition;
+  :meth:`DelayBackend.gate_timing`, the single-arc kernel of generic
+  path evaluation, binds and evaluates one arc;
 * **batch** -- :meth:`DelayBackend.compile_model`, a per-compilation
   :class:`BatchDelayModel` that folds per-gate constants into
   :class:`~repro.mc.compile.CompiledCircuit` arrays and propagates whole
@@ -38,7 +39,7 @@ order on its scalar, batch and probe surfaces.  *Across* backends no
 bit-level relationship is promised -- an NLDM table characterised from
 the analytic model agrees only to interpolation accuracy.  The
 :class:`AnalyticBackend` delegates straight to
-:func:`~repro.timing.delay_model.bind_gate_arcs` and to the pre-existing
+:func:`~repro.timing.delay_model.bind_arc` and to the pre-existing
 batch kernels, so refactoring the consumers through this seam changed
 no float anywhere (pinned by the equivalence ladder in
 ``tests/test_mc.py`` / ``tests/test_batch_probe.py`` /
@@ -55,7 +56,7 @@ import numpy as np
 
 from repro.cells.cell import Cell
 from repro.process.technology import Technology
-from repro.timing.delay_model import Edge, GateTiming, bind_gate_arcs
+from repro.timing.delay_model import Edge, GateTiming, bind_arc
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type names
     from repro.mc.compile import CompiledCircuit
@@ -233,17 +234,31 @@ class DelayBackend(ABC):
         """
 
     @abstractmethod
-    def bind_arcs(
-        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
-    ) -> GateArcs:
-        """Bind one gate's two input-edge arcs at a fixed size and load.
+    def bind_arc(
+        self,
+        cell: Cell,
+        tech: Technology,
+        cin_ff: float,
+        cload_ext_ff: float,
+        input_edge: Edge,
+    ) -> BoundArc:
+        """Bind one gate input-edge arc at a fixed size and load.
 
         Everything that does not depend on the input transition is
-        evaluated here, once; :meth:`BoundArc.at` then times an arc per
+        evaluated here, once; :meth:`BoundArc.at` then times the arc per
         input slope in the same operation order as a one-shot
         evaluation, so binding never moves a float.  Raises
         ``ValueError`` for a non-positive drive or a negative load.
         """
+
+    def bind_arcs(
+        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
+    ) -> GateArcs:
+        """Both input-edge arcs of one gate: ``(rising, falling)``."""
+        return (
+            self.bind_arc(cell, tech, cin_ff, cload_ext_ff, Edge.RISE),
+            self.bind_arc(cell, tech, cin_ff, cload_ext_ff, Edge.FALL),
+        )
 
     def gate_timing(
         self,
@@ -254,11 +269,10 @@ class DelayBackend(ABC):
         tin_ps: float,
         input_edge: Edge,
     ) -> GateTiming:
-        """Delay/transition of one gate arc (a thin caller of :meth:`bind_arcs`)."""
+        """Delay/transition of one gate arc (a thin caller of :meth:`bind_arc`)."""
         if tin_ps < 0:
             raise ValueError(f"tin_ps must be non-negative, got {tin_ps}")
-        arcs = self.bind_arcs(cell, tech, cin_ff, cload_ext_ff)
-        arc = arcs[input_edge is Edge.FALL]
+        arc = self.bind_arc(cell, tech, cin_ff, cload_ext_ff, input_edge)
         delay, tout = arc.at(tin_ps)
         return GateTiming(delay_ps=delay, tout_ps=tout, output_edge=arc.output_edge)
 
@@ -275,7 +289,7 @@ class AnalyticBackend(DelayBackend):
     """The paper's closed-form eq. 1-3 model behind the backend seam.
 
     Every surface delegates to the pre-existing kernels --
-    :func:`~repro.timing.delay_model.bind_gate_arcs`, the mc level loop,
+    :func:`~repro.timing.delay_model.bind_arc`, the mc level loop,
     the batch-probe pair math -- so the analytic stack through the seam
     is bit-identical to the pre-seam code, float for float.
     """
@@ -288,11 +302,16 @@ class AnalyticBackend(DelayBackend):
         """The analytic model is fully determined by (tech, cells)."""
         return ("analytic",)
 
-    def bind_arcs(
-        self, cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
-    ) -> GateArcs:
-        """Eq. 1 arcs via :func:`~repro.timing.delay_model.bind_gate_arcs`."""
-        return bind_gate_arcs(cell, tech, cin_ff, cload_ext_ff)
+    def bind_arc(
+        self,
+        cell: Cell,
+        tech: Technology,
+        cin_ff: float,
+        cload_ext_ff: float,
+        input_edge: Edge,
+    ) -> BoundArc:
+        """Eq. 1 arc via :func:`~repro.timing.delay_model.bind_arc`."""
+        return bind_arc(cell, tech, cin_ff, cload_ext_ff, input_edge)
 
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:
         """The mc kernel's analytic level loop (lazy import: no cycle)."""

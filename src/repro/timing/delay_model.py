@@ -130,33 +130,27 @@ class AffineArc(NamedTuple):
         return self.a * tin_ps + self.b, self.tout_ps
 
 
-def _bind_arc(
-    cell: Cell, tech: Technology, cin_ff: float, cl_total: float, input_edge: Edge
+def bind_arc(
+    cell: Cell,
+    tech: Technology,
+    cin_ff: float,
+    cload_ext_ff: float,
+    input_edge: Edge,
 ) -> AffineArc:
+    """The eq. 1 arc of one gate input edge at a fixed drive and load.
+
+    This is the one implementation of eq. 1-3: :func:`gate_delay` and
+    every whole-circuit engine evaluate through it.  Raises
+    ``ValueError`` for a non-positive drive or a negative total load,
+    exactly as the per-arc kernel always did.
+    """
     out_edge = output_edge_for(cell, input_edge)
+    cl_total = total_load(cell, cin_ff, cload_ext_ff)
     tout = output_transition_time(cell, tech, cin_ff, cl_total, out_edge)
     cm = cell.coupling_cap(cin_ff, input_rising=input_edge is Edge.RISE)
     vt = tech.vtn_reduced if input_edge is Edge.RISE else tech.vtp_reduced
     b = 0.5 * coupling_factor(cm, cl_total) * tout
     return AffineArc(out_edge, 0.5 * vt, b, tout)
-
-
-def bind_gate_arcs(
-    cell: Cell, tech: Technology, cin_ff: float, cload_ext_ff: float
-) -> Tuple[AffineArc, AffineArc]:
-    """The eq. 1 arcs of one gate at a fixed drive and external load.
-
-    Returns ``(rising-input arc, falling-input arc)``; index it with
-    ``input_edge is Edge.FALL``.  This is the one implementation of
-    eq. 1-3: :func:`gate_delay` and every whole-circuit engine evaluate
-    through it.  Raises ``ValueError`` for a non-positive drive or a
-    negative total load, exactly as the per-arc kernel always did.
-    """
-    cl_total = total_load(cell, cin_ff, cload_ext_ff)
-    return (
-        _bind_arc(cell, tech, cin_ff, cl_total, Edge.RISE),
-        _bind_arc(cell, tech, cin_ff, cl_total, Edge.FALL),
-    )
 
 
 def gate_delay(
@@ -167,7 +161,7 @@ def gate_delay(
     tin_ps: float,
     input_edge: Edge,
 ) -> GateTiming:
-    """Full eq. 1 delay of one gate arc (a thin caller of :func:`bind_gate_arcs`).
+    """Full eq. 1 delay of one gate arc (a thin caller of :func:`bind_arc`).
 
     Parameters
     ----------
@@ -185,7 +179,7 @@ def gate_delay(
     """
     if tin_ps < 0:
         raise ValueError(f"tin_ps must be non-negative, got {tin_ps}")
-    arc = bind_gate_arcs(cell, tech, cin_ff, cload_ext_ff)[input_edge is Edge.FALL]
+    arc = bind_arc(cell, tech, cin_ff, cload_ext_ff, input_edge)
     delay, tout = arc.at(tin_ps)
     return GateTiming(delay_ps=delay, tout_ps=tout, output_edge=arc.output_edge)
 
